@@ -42,18 +42,24 @@ from .errors import (
 from .models import (
     STAGE1_INPUT_LENGTH,
     STAGE2_INPUT_LENGTH,
-    Model,
     Verdict,
     build_model,
-    predict_two_stage,
+    predict_batched,
+    predict_two_stage_encoded,
     stage1_spec,
     stage2_spec,
 )
 from .metrics import confusion, scores
-from .normalizer import load_preserve_list, normalize_source, tokenize
+from .normalizer import (
+    load_preserve_list,
+    normalize,
+    normalize_source,
+    split_functions,
+    tokenize,
+)
 from .serialize import load_model, save_model
 from .smote import SmoteConfig, class_histogram, oversample
-from .training import TrainConfig, predict_batched, train
+from .training import TrainConfig, train
 from .vocab import Vocabulary, build_vocab, decode, encode, encode_batch
 
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".h")
@@ -66,6 +72,15 @@ STAGE_DEFAULTS = {
 
 class CliError(Exception):
     """Input or configuration problem; maps to exit code 2."""
+
+
+def probability(text: str) -> float:
+    """argparse type for a cascade threshold: a float strictly in (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{text} does not lie strictly between 0 and 1")
+    return value
 
 
 def _write_manifest(path: str, command: str, config: dict,
@@ -234,12 +249,31 @@ def _reencode_rows(rows: np.ndarray, vocab: Vocabulary, max_len: int) -> np.ndar
 
 def cmd_evaluate(args) -> int:
     stage1, header1 = load_model(args.stage1)
-    vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
     _, test1_path = _train_paths(args.data, 1)
     arch1 = load_archive(test1_path)
     _check_hash(header1.vocab_hash, arch1.vocab_hash, "stage1")
 
-    probs1 = predict_batched(stage1, arch1.ids)[:, 0]
+    if args.stage2:
+        stage2, header2 = load_model(args.stage2)
+        _check_hash(header2.vocab_hash, arch1.vocab_hash, "stage2")
+        label_map = header2.label_map()
+        if label_map is None:
+            raise CliError("stage-2 model carries no label map")
+        _, test2_path = _train_paths(args.data, 2)
+        arch2 = load_archive(test2_path)
+        _check_hash(header2.vocab_hash, arch2.vocab_hash, "stage2")
+        vuln_rows = np.flatnonzero(arch1.labels == 1)
+        if vuln_rows.shape[0] != arch2.count:
+            raise CliError(
+                "stage-1 and stage-2 test archives do not describe the same split")
+        before = stage2.eval_samples
+        cascade = predict_two_stage_encoded(stage1, stage2, label_map,
+                                            arch1.ids, args.threshold)
+        evaluated = stage2.eval_samples - before
+        probs1 = np.array([p.stage1_probability for p in cascade])
+    else:
+        probs1 = predict_batched(stage1, arch1.ids)[:, 0]
+
     binary_preds = (probs1 >= args.threshold).astype(np.int64)
     matrix1 = confusion(binary_preds, arch1.labels, 2)
     scores1 = scores(matrix1)
@@ -251,15 +285,6 @@ def cmd_evaluate(args) -> int:
         print(scores1.format_table(["non-vuln", "vuln"]))
 
     if args.stage2:
-        stage2, header2 = load_model(args.stage2)
-        _check_hash(header2.vocab_hash, arch1.vocab_hash, "stage2")
-        label_map = header2.label_map()
-        if label_map is None:
-            raise CliError("stage-2 model carries no label map")
-        _, test2_path = _train_paths(args.data, 2)
-        arch2 = load_archive(test2_path)
-        _check_hash(header2.vocab_hash, arch2.vocab_hash, "stage2")
-
         probs2 = predict_batched(stage2, arch2.ids)
         class_preds = np.argmax(probs2, axis=1)
         matrix2 = confusion(class_preds, arch2.labels, len(label_map))
@@ -269,20 +294,9 @@ def cmd_evaluate(args) -> int:
             print("\nstage 2 (class classifier, vulnerable test samples)")
             print(scores2.format_table(list(label_map.classes)))
 
-        vuln_rows = np.flatnonzero(arch1.labels == 1)
-        if vuln_rows.shape[0] != arch2.count:
-            raise CliError(
-                "stage-1 and stage-2 test archives do not describe the same split")
-        positives = np.flatnonzero(binary_preds == 1)
-        before = stage2.eval_samples
-        cascade_pred = np.full(arch1.count, -1, dtype=np.int64)
-        if positives.size:
-            ids2 = _reencode_rows(arch1.ids[positives], vocab,
-                                  stage2.spec.input_length)
-            cascade_pred[positives] = np.argmax(
-                predict_batched(stage2, ids2), axis=1)
-        evaluated = stage2.eval_samples - before
-
+        cascade_pred = np.array([
+            -1 if p.class_distribution is None
+            else int(np.argmax(p.class_distribution)) for p in cascade])
         true_class = np.full(arch1.count, -1, dtype=np.int64)
         true_class[vuln_rows] = arch2.labels
         correct = int(np.sum(cascade_pred == true_class))
@@ -311,69 +325,6 @@ def _iter_source_files(paths: list[str]):
                         yield os.path.join(root, name)
         else:
             yield path
-
-
-def split_functions(source: str) -> list[tuple[str, int, str]]:
-    """Best-effort extraction of top-level function definitions.
-
-    Returns (name, line, text) triples; an empty list means the caller
-    should fall back to scanning the whole file.
-    """
-    toks = [t for t in tokenize(source)
-            if t.kind.name not in ("COMMENT", "PREPROCESSOR")]
-    line_starts = [0]
-    for i, ch in enumerate(source):
-        if ch == "\n":
-            line_starts.append(i + 1)
-
-    def offset(tok):
-        return line_starts[tok.line - 1] + tok.column - 1
-
-    functions = []
-    i, depth = 0, 0
-    decl_start = None  # first token of the current top-level declaration
-    while i < len(toks):
-        t = toks[i]
-        if depth == 0 and decl_start is None:
-            decl_start = t
-        if depth == 0 and t.kind.name == "IDENTIFIER" and i + 1 < len(toks) \
-                and toks[i + 1].text == "(":
-            j, parens = i + 1, 0
-            while j < len(toks):
-                if toks[j].text == "(":
-                    parens += 1
-                elif toks[j].text == ")":
-                    parens -= 1
-                    if parens == 0:
-                        break
-                j += 1
-            if j < len(toks) and j + 1 < len(toks) and toks[j + 1].text == "{":
-                k, braces = j + 1, 0
-                while k < len(toks):
-                    if toks[k].text == "{":
-                        braces += 1
-                    elif toks[k].text == "}":
-                        braces -= 1
-                        if braces == 0:
-                            break
-                    k += 1
-                if k < len(toks):
-                    start = offset(decl_start)
-                    end = offset(toks[k]) + 1
-                    functions.append((t.text, t.line, source[start:end]))
-                    i = k + 1
-                    decl_start = None
-                    continue
-        if t.text == "{":
-            depth += 1
-        elif t.text == "}":
-            depth = max(0, depth - 1)
-            if depth == 0:
-                decl_start = None
-        elif t.text == ";" and depth == 0:
-            decl_start = None
-        i += 1
-    return functions
 
 
 def _format_finding(label: str, pred, label_map) -> str:
@@ -410,16 +361,20 @@ def cmd_scan(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             errors += 1
             continue
-        units = [(path, 1, source)]
+        tokens = tokenize(source)
+        units = [(path, tokens)]
         if args.per_function:
-            parts = split_functions(source)
+            parts = split_functions(tokens)
             if parts:
-                units = [(f"{path}:{line} {name}()", line, text)
-                         for name, line, text in parts]
-        for label, _, text in units:
-            pred = predict_two_stage(stage1, stage2, vocab, label_map, text,
-                                     threshold=args.threshold,
-                                     preserve=preserve)
+                units = [(f"{path}:{line} {name}()", part)
+                         for name, line, part in parts]
+        # one batch per file: a unit's scores never depend on other files
+        ids, _ = encode_batch(
+            [normalize(part, preserve=preserve) for _, part in units],
+            vocab, stage1.spec.input_length)
+        preds = predict_two_stage_encoded(stage1, stage2, label_map, ids,
+                                          threshold=args.threshold)
+        for (label, _), pred in zip(units, preds):
             findings.append((label, pred))
             if not args.json:
                 print(_format_finding(label, pred, label_map))
@@ -510,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage1", required=True)
     p.add_argument("--stage2", default=None)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=probability, default=0.5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
@@ -518,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage1", required=True)
     p.add_argument("--stage2", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=probability, default=0.5)
     p.add_argument("--per-function", action="store_true")
     p.add_argument("--preserve-api-names", default=None)
     p.add_argument("--json", action="store_true")

@@ -1,8 +1,12 @@
 """Layer forward/backward math for the two network architectures.
 
-Everything runs on float64 numpy arrays.  Each layer caches what its backward
-pass needs, accumulates parameter gradients in-place, and returns the gradient
-with respect to its input, so a network is just an ordered list of layers.
+Everything runs on float64 numpy arrays.  In training mode each layer caches
+what its backward pass needs, accumulates parameter gradients in-place, and
+returns the gradient with respect to its input, so a network is just an
+ordered list of layers.  An eval-mode forward caches no activations, so
+inference holds one layer's activations at a time.  Embedding, MaxPool1D and
+Flatten, whose backward needs only ids, argmax positions or a shape, keep
+their cache in both modes.
 Forward and backward are pure given (input, parameters); only the optimizer
 mutates parameters.
 """
@@ -144,10 +148,15 @@ class Conv1D(Layer):
             raise InputTooShortError(
                 f"sequence length {x.shape[1]} < kernel size {self.kernel_size}"
             )
-        self._x = x
-        # patches[b, t, c, j] = x[b, t + j, c]
+        self._x = x if training else None
+        # patches[b, t, c, j] = x[b, t + j, c], contracted one sample at a
+        # time so that the patch copy tensordot makes stays one sample large
         patches = sliding_window_view(x, self.kernel_size, axis=1)
-        return np.tensordot(patches, self.weights, axes=([2, 3], [1, 2])) + self.bias
+        out = np.empty((x.shape[0], patches.shape[1], self.filters))
+        for i, sample in enumerate(patches):
+            out[i] = np.tensordot(sample, self.weights, axes=([1, 2], [1, 2]))
+        out += self.bias
+        return out
 
     def backward(self, upstream):
         x = self._x
@@ -246,10 +255,11 @@ class LSTM(Layer):
             c_new = gf * c + gi * gg
             tc = np.tanh(c_new)
             h_new = go * tc
-            steps.append((x[:, t], h, c, gi, gf, gg, go, tc))
+            if training:
+                steps.append((x[:, t], h, c, gi, gf, gg, go, tc))
             h, c = h_new, c_new
             outputs[:, t] = h_new
-        self._cache = (steps, x.shape)
+        self._cache = (steps, x.shape) if training else None
         return outputs if self.return_sequences else outputs[:, -1]
 
     def backward(self, upstream):
@@ -341,20 +351,17 @@ class BatchNorm1D(Layer):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (flat - mean) * inv_std
-        self._cache = (xhat, inv_std, shape, training)
+        self._cache = (xhat, inv_std, shape) if training else None
         return (self.gamma * xhat + self.beta).reshape(shape)
 
     def backward(self, upstream):
-        xhat, inv_std, shape, training = self._cache
+        xhat, inv_std, shape = self._cache
         dy = upstream.reshape(-1, self.features)
         self.d_gamma += (dy * xhat).sum(axis=0)
         self.d_beta += dy.sum(axis=0)
-        if training:
-            dx = self.gamma * inv_std * (
-                dy - dy.mean(axis=0) - xhat * (dy * xhat).mean(axis=0)
-            )
-        else:
-            dx = dy * self.gamma * inv_std
+        dx = self.gamma * inv_std * (
+            dy - dy.mean(axis=0) - xhat * (dy * xhat).mean(axis=0)
+        )
         return dx.reshape(shape)
 
 
@@ -383,7 +390,7 @@ class Dense(Layer):
             raise ShapeMismatchError(
                 f"dense expects (B, {self.in_features}), got {x.shape}"
             )
-        self._x = x
+        self._x = x if training else None
         return x @ self.weights.T + self.bias
 
     def backward(self, upstream):
@@ -422,7 +429,7 @@ class Activation(Layer):
 
     def forward(self, x, training: bool = False):
         x = np.asarray(x, dtype=np.float64)
-        self._x = x
+        self._x = x if training else None
         if self.kind == "relu":
             y = relu(x)
         elif self.kind == "tanh":
@@ -433,7 +440,7 @@ class Activation(Layer):
             y = (np.tanh(x) + 1.0) / 2.0
         else:
             y = softmax(x)
-        self._y = y
+        self._y = y if training else None
         return y
 
     def backward(self, upstream):

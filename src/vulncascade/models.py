@@ -41,6 +41,7 @@ STAGE1_INPUT_LENGTH = 500
 STAGE1_EMBEDDING_DIM = 13
 STAGE2_INPUT_LENGTH = 400
 STAGE2_EMBEDDING_DIM = 300
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -325,35 +326,48 @@ class Prediction:
     predicted_cwe: str | None = None
 
 
-def _distribution(stage2: Model, ids: np.ndarray) -> np.ndarray:
-    dist = stage2.forward(ids)[0]
-    if stage2.head_kind != "softmax":
-        # independent per-class head: renormalize so the report is a distribution
-        dist = dist / dist.sum()
-    return dist
+def predict_batched(model: Model, ids: np.ndarray, batch: int = EVAL_BATCH) -> np.ndarray:
+    """Forward a whole dataset in eval mode, in slices to bound memory."""
+    outputs = [np.zeros((0, model.output_width))]
+    for start in range(0, ids.shape[0], batch):
+        outputs.append(model.forward(ids[start:start + batch], training=False))
+    return np.concatenate(outputs, axis=0)
 
 
 def predict_two_stage_encoded(
     stage1: Model,
     stage2: Model,
     label_map: LabelMap,
-    ids_stage1: np.ndarray,
-    ids_stage2: np.ndarray,
+    ids: np.ndarray,
     threshold: float = 0.5,
-) -> Prediction:
-    """Cascade decision for one pre-encoded sample.
+) -> list[Prediction]:
+    """Cascade decisions for an (N, L1) matrix of stage-1 ids, one per row.
 
-    The second model runs only when the detector probability reaches the
-    threshold; a probability exactly at the threshold counts as vulnerable.
+    Stage 1 scores every row; stage 2 then runs once, on the rows whose
+    detector probability reaches the threshold (a probability exactly at the
+    threshold counts as vulnerable), reading the first L2 ids of each row.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    p = float(stage1.forward(np.asarray(ids_stage1).reshape(1, -1))[0, 0])
-    if p < threshold:
-        return Prediction(p, Verdict.NON_VULNERABLE)
-    dist = _distribution(stage2, np.asarray(ids_stage2).reshape(1, -1))
-    cwe = label_map.cwe_of(int(np.argmax(dist)))
-    return Prediction(p, Verdict.VULNERABLE, class_distribution=dist, predicted_cwe=cwe)
+    ids = np.asarray(ids)
+    length2 = stage2.spec.input_length
+    if length2 > ids.shape[-1]:
+        raise IncompatibleSpecError(
+            f"stage 2 reads {length2} ids, stage-1 rows hold {ids.shape[-1]}")
+    probs = predict_batched(stage1, ids)[:, 0]
+    preds = [Prediction(float(p), Verdict.NON_VULNERABLE) for p in probs]
+    pos = np.flatnonzero(probs >= threshold)
+    # no positives: predict_batched makes no forward call
+    dists = predict_batched(stage2, ids[pos, :length2])
+    if stage2.head_kind != "softmax":
+        # per-class sigmoid head: renormalize each row into a distribution
+        dists = dists / dists.sum(axis=1, keepdims=True)
+    for i, dist in zip(pos, dists):
+        preds[i] = Prediction(
+            preds[i].stage1_probability, Verdict.VULNERABLE,
+            class_distribution=dist,
+            predicted_cwe=label_map.cwe_of(int(np.argmax(dist))))
+    return preds
 
 
 def predict_two_stage(
@@ -365,8 +379,8 @@ def predict_two_stage(
     threshold: float = 0.5,
     preserve: frozenset[str] = frozenset(),
 ) -> Prediction:
-    """Normalize raw source, encode it at both input lengths, and cascade."""
+    """Normalize raw source, encode it at the stage-1 length, and cascade."""
     sample = normalize_source(source, preserve=preserve)
-    ids1 = encode(sample, vocab, stage1.spec.input_length).ids
-    ids2 = encode(sample, vocab, stage2.spec.input_length).ids
-    return predict_two_stage_encoded(stage1, stage2, label_map, ids1, ids2, threshold)
+    ids = encode(sample, vocab, stage1.spec.input_length).ids
+    return predict_two_stage_encoded(stage1, stage2, label_map, ids[None, :],
+                                     threshold)[0]

@@ -300,6 +300,63 @@ def tokenize(source: str, issues: list[LexIssue] | None = None) -> list[Token]:
 _DROPPED = (TokenKind.COMMENT, TokenKind.PREPROCESSOR)
 
 
+def split_functions(tokens: list[Token]) -> list[tuple[str, int, list[Token]]]:
+    """Best-effort extraction of top-level function definitions.
+
+    Returns (name, line, tokens) triples, where tokens is the definition's
+    slice of the input, comments and directives inside it included; an
+    empty list means the caller should fall back to the whole token list.
+    """
+    # positions of the tokens that survive normalization; structure is
+    # found on those alone
+    code = [i for i, t in enumerate(tokens) if t.kind not in _DROPPED]
+    toks = [tokens[i] for i in code]
+    functions = []
+    i, depth = 0, 0
+    decl_start = None  # index in toks of the current declaration's first token
+    while i < len(toks):
+        t = toks[i]
+        if depth == 0 and decl_start is None:
+            decl_start = i
+        if depth == 0 and t.kind is TokenKind.IDENTIFIER and i + 1 < len(toks) \
+                and toks[i + 1].text == "(":
+            j, parens = i + 1, 0
+            while j < len(toks):
+                if toks[j].text == "(":
+                    parens += 1
+                elif toks[j].text == ")":
+                    parens -= 1
+                    if parens == 0:
+                        break
+                j += 1
+            if j + 1 < len(toks) and toks[j + 1].text == "{":
+                k, braces = j + 1, 0
+                while k < len(toks):
+                    if toks[k].text == "{":
+                        braces += 1
+                    elif toks[k].text == "}":
+                        braces -= 1
+                        if braces == 0:
+                            break
+                    k += 1
+                if k < len(toks):
+                    functions.append(
+                        (t.text, t.line, tokens[code[decl_start]:code[k] + 1]))
+                    i = k + 1
+                    decl_start = None
+                    continue
+        if t.text == "{":
+            depth += 1
+        elif t.text == "}":
+            depth = max(0, depth - 1)
+            if depth == 0:
+                decl_start = None
+        elif t.text == ";" and depth == 0:
+            decl_start = None
+        i += 1
+    return functions
+
+
 def classify_identifiers(tokens: list[Token]) -> dict[str, IdentifierRole]:
     """Assign each identifier a role, fixed at its first occurrence.
 

@@ -57,31 +57,6 @@ def nearest_neighbor_indices(points: np.ndarray, query_index: int, k: int) -> np
     return order[:k]
 
 
-def knn(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
-    """The k nearest points to the query, excluding the query itself.
-
-    When the query appears among the points, its first exact occurrence is the
-    one excluded; distance ties resolve in input order.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    if points.ndim != 2 or query.shape != (points.shape[1],):
-        raise ShapeMismatchError(
-            f"points {points.shape} and query {query.shape} are incompatible"
-        )
-    matches = np.flatnonzero((points == query).all(axis=1))
-    if matches.size:
-        idx = nearest_neighbor_indices(points, int(matches[0]), k)
-        return points[idx]
-    n = points.shape[0]
-    if n < k:
-        raise NotEnoughPointsError(f"need at least {k} points, have {n}")
-    diff = points - query
-    dist = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(dist, kind="stable")
-    return points[order[:k]]
-
-
 def synthesize(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     """Convex combination a + lam * (b - a), lam in [0, 1]."""
     a = np.asarray(a, dtype=np.float64)

@@ -18,11 +18,9 @@ import numpy as np
 
 from .errors import DivergenceError
 from .losses import bce_loss, cce_loss
-from .models import Model
+from .models import Model, predict_batched
 from .optim import clip_gradients, make_optimizer
 from .smote import SmoteConfig, oversample
-
-EVAL_BATCH = 256
 
 
 @dataclass
@@ -68,14 +66,6 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def predict_batched(model: Model, ids: np.ndarray, batch: int = EVAL_BATCH) -> np.ndarray:
-    """Forward a whole dataset in eval mode, in slices to bound memory."""
-    outputs = []
-    for start in range(0, ids.shape[0], batch):
-        outputs.append(model.forward(ids[start:start + batch], training=False))
-    return np.concatenate(outputs, axis=0)
 
 
 def accuracy_of(model: Model, ids: np.ndarray, labels: np.ndarray) -> float:

@@ -388,23 +388,18 @@ def test_criterion_7_cascade_contract():
     label_map = LabelMap(["CWE-121", "CWE-787", "CWE-20", "CWE-416"])
     rng = np.random.default_rng(77)
     ids1 = rng.integers(0, 16, size=(100, 12))
-    ids2 = rng.integers(0, 16, size=(100, 10))
 
-    probs = np.array([
-        float(stage1.forward(ids1[i:i + 1])[0, 0]) for i in range(100)
-    ])
+    probs = stage1.forward(ids1)[:, 0]
     threshold = float(np.median(probs))  # guarantees a genuine mix
     expected_positive = int(np.sum(probs >= threshold))
     assert 0 < expected_positive < 100
 
-    verdicts = []
     before = stage2.eval_samples
-    for i in range(100):
-        pred = predict_two_stage_encoded(stage1, stage2, label_map,
-                                         ids1[i], ids2[i], threshold=threshold)
-        verdicts.append(pred.verdict)
+    preds = predict_two_stage_encoded(stage1, stage2, label_map, ids1,
+                                      threshold=threshold)
     evaluated = stage2.eval_samples - before
-    positives = sum(1 for v in verdicts if v is Verdict.VULNERABLE)
+    positives = sum(1 for p in preds if p.verdict is Verdict.VULNERABLE)
+    assert len(preds) == 100
     assert positives == expected_positive
     assert evaluated == positives
 

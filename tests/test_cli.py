@@ -1,14 +1,18 @@
 """Command line pipeline: preprocess, train, evaluate, scan, smote-report."""
 
+import importlib.util
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vulncascade import cli
 from vulncascade.archive import LABEL_BINARY, LABEL_CLASS, load_archive
-from vulncascade.cli import main, split_functions
+from vulncascade.cli import _reencode_rows, main
+from vulncascade.normalizer import split_functions, tokenize
 from vulncascade.serialize import load_model
 from vulncascade.vocab import Vocabulary
 
@@ -63,40 +67,61 @@ def workspace(tmp_path_factory):
     return {"work": work, "corpus": corpus, "data": data, "s1": s1, "s2": s2}
 
 
+def texts(tokens):
+    return [t.text for t in tokens]
+
+
+def functions_of(src):
+    """split_functions over src, each token slice shown as its texts."""
+    return [(name, line, texts(part))
+            for name, line, part in split_functions(tokenize(src))]
+
+
 class TestSplitFunctions:
     def test_two_functions(self):
         src = ("int add(int a, int b) { return a + b; }\n"
                "int sub(int a, int b) { return a - b; }\n")
-        parts = split_functions(src)
+        parts = functions_of(src)
         assert [(n, l) for n, l, _ in parts] == [("add", 1), ("sub", 2)]
-        assert parts[0][2] == "int add(int a, int b) { return a + b; }"
+        assert parts[0][2] == texts(tokenize("int add(int a, int b) { return a + b; }"))
 
     def test_nested_braces(self):
         src = "int f(int x) { if (x) { return 1; } return 0; }"
-        parts = split_functions(src)
+        parts = functions_of(src)
         assert len(parts) == 1
-        assert parts[0][2] == src
+        assert parts[0][2] == texts(tokenize(src))
 
     def test_prototype_skipped(self):
-        parts = split_functions("int add(int a, int b);\nint one(void) { return 1; }\n")
+        parts = functions_of("int add(int a, int b);\nint one(void) { return 1; }\n")
         assert [n for n, _, _ in parts] == ["one"]
 
     def test_no_functions(self):
-        assert split_functions("int x = 3;\n") == []
+        assert functions_of("int x = 3;\n") == []
 
     def test_directives_and_comments_do_not_shift_offsets(self):
         src = ("#include <stdio.h>\n"
                "/* helper */\n"
                "static int twice(int v) { return v * 2; }\n")
-        parts = split_functions(src)
-        assert parts == [("twice", 3, "static int twice(int v) { return v * 2; }")]
+        parts = functions_of(src)
+        assert parts == [("twice", 3, texts(tokenize(
+            "static int twice(int v) { return v * 2; }")))]
+
+    def test_comments_and_directives_inside_a_function_are_kept(self):
+        src = ("int f(int v) {\n"
+               "    /* doubled */\n"
+               "#ifdef DEBUG\n"
+               "    return v * 2; // twice\n"
+               "#endif\n"
+               "}\n")
+        (_, _, part), = split_functions(tokenize(src))
+        assert part == tokenize(src)
 
     def test_body_inside_function_not_reported(self):
         src = "void outer(void) { inner(); also(1); }"
-        assert [n for n, _, _ in split_functions(src)] == ["outer"]
+        assert [n for n, _, _ in functions_of(src)] == ["outer"]
 
     def test_unbalanced_input_gives_up(self):
-        assert split_functions("int f(int x) { return x;") == []
+        assert functions_of("int f(int x) { return x;") == []
 
 
 class TestPreprocess:
@@ -171,6 +196,36 @@ class TestPreprocess:
         corpus.write_text("")
         assert main(["preprocess", "--corpus", str(corpus),
                      "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def load_demo_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_demo_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage2_ids_are_a_prefix_of_stage1_ids(tmp_path, capsys):
+    # the cascade hands stage 2 the first 400 stage-1 ids; decoding and
+    # re-encoding each row is the reference for that slice
+    corpus = tmp_path / "demo.jsonl"
+    assert load_demo_script().main(["--out", str(corpus), "--per-class", "12"]) == 0
+    long_body = " ".join(f"t{i} = t{i} + {i};" for i in range(150))
+    with open(corpus, "a", encoding="utf-8") as fh:
+        for label in ({"vulnerable": 0}, {"vulnerable": 1, "cwe": "CWE-190"}):
+            fh.write(json.dumps({"code": f"int long(int t) {{ {long_body} }}",
+                                 **label}) + "\n")
+    data = tmp_path / "data"
+    assert main(["preprocess", "--corpus", str(corpus), "--out-dir", str(data)]) == 0
+    vocab = Vocabulary.load(str(data / "vocab.txt"))
+    truncated = 0
+    for name in ("stage1_train.vcen", "stage1_test.vcen"):
+        arch = load_archive(str(data / name))
+        np.testing.assert_array_equal(arch.ids[:, :400],
+                                      _reencode_rows(arch.ids, vocab, 400))
+        truncated += int(np.sum(arch.true_lengths == 500))
+    assert truncated == 2
 
 
 class TestTrain:
@@ -279,6 +334,16 @@ class TestEvaluate:
         assert main(["evaluate", "--stage1", str(tmp_path / "ghost.vcmd"),
                      "--data", str(workspace["data"])]) == 2
 
+    def test_threshold_outside_unit_interval_is_usage_error(self, workspace, capsys):
+        stage2 = ["--stage2", str(workspace["s2"])]
+        for bad in ("1.5", "0", "-3", "1", "nan"):
+            for extra in ([], stage2):
+                with pytest.raises(SystemExit) as info:
+                    main(["evaluate", "--stage1", str(workspace["s1"]), *extra,
+                          "--data", str(workspace["data"]), "--threshold", bad])
+                assert info.value.code == 2
+        assert "strictly between 0 and 1" in capsys.readouterr().err
+
 
 class TestScan:
     @pytest.fixture
@@ -339,6 +404,48 @@ class TestScan:
         assert code == 0
         assert json.loads(captured.out)["errors"] == 1
         assert "error" in captured.err
+
+    def test_threshold_outside_unit_interval_is_usage_error(self, workspace,
+                                                           tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            self.scan(workspace, "--threshold", "7", str(tmp_path))
+        assert info.value.code == 2
+        assert "strictly between 0 and 1" in capsys.readouterr().err
+
+    def test_one_batch_per_model_per_file(self, workspace, tmp_path, capsys,
+                                          monkeypatch):
+        bodies = [CLEAN_BODIES[0], CLEAN_BODIES[3], CLEAN_BODIES[8],
+                  VULN_TEMPLATES["CWE-121"][0].format(i=0),
+                  VULN_TEMPLATES["CWE-190"][0].format(i=1),
+                  VULN_TEMPLATES["CWE-476"][0].format(i=2)]
+        source = tmp_path / "six.c"
+        source.write_text("\n".join(bodies) + "\n")
+        # a threshold between the middle two detector probabilities sends
+        # about half of the functions to stage 2
+        self.scan(workspace, "--per-function", "--json",
+                  "--threshold", "0.999999999", str(source))
+        probs = sorted(f["stage1_probability"]
+                       for f in json.loads(capsys.readouterr().out)["findings"])
+        threshold = (probs[2] + probs[3]) / 2
+
+        loaded = []
+        loader = cli.load_model
+
+        def capture(path):
+            model, header = loader(path)
+            loaded.append(model)
+            return model, header
+
+        monkeypatch.setattr(cli, "load_model", capture)
+        self.scan(workspace, "--per-function", "--json",
+                  "--threshold", repr(threshold), str(source))
+        report = json.loads(capsys.readouterr().out)
+        vulnerable = report["vulnerable"]
+        stage1, stage2 = loaded
+        assert report["scanned"] == len(bodies)
+        assert 0 < vulnerable < len(bodies)
+        assert (stage1.forward_calls, stage1.eval_samples) == (1, len(bodies))
+        assert (stage2.forward_calls, stage2.eval_samples) == (1, vulnerable)
 
     def test_foreign_vocab_rejected(self, workspace, tree, tmp_path, capsys):
         other = tmp_path / "other_vocab.txt"

@@ -1,5 +1,7 @@
 """Model assembly, the two factory architectures, and the cascade decision."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,19 +279,18 @@ class TestCascade:
         stage2 = build_model(tiny_stage2_spec(num_classes=3), seed=1)
         label_map = LabelMap(["CWE-121", "CWE-787", "CWE-20"])
         ids1 = np.arange(12, dtype=np.int64).reshape(1, -1) % 12
-        ids2 = np.arange(10, dtype=np.int64).reshape(1, -1) % 12
-        return stage1, stage2, label_map, ids1, ids2
+        return stage1, stage2, label_map, ids1
 
     def test_threshold_validation(self, setup):
-        stage1, stage2, lm, ids1, ids2 = setup
+        stage1, stage2, lm, ids1 = setup
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                predict_two_stage_encoded(stage1, stage2, lm, ids1, ids2, threshold=bad)
+                predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold=bad)
 
     def test_negative_verdict_skips_classifier(self, setup):
-        stage1, stage2, lm, ids1, ids2 = setup
+        stage1, stage2, lm, ids1 = setup
         force_probability_half(stage1)
-        pred = predict_two_stage_encoded(stage1, stage2, lm, ids1, ids2, threshold=0.6)
+        [pred] = predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold=0.6)
         assert pred.verdict is Verdict.NON_VULNERABLE
         assert pred.class_distribution is None
         assert pred.predicted_cwe is None
@@ -297,38 +298,92 @@ class TestCascade:
         assert stage2.eval_samples == 0
 
     def test_boundary_probability_counts_as_vulnerable(self, setup):
-        stage1, stage2, lm, ids1, ids2 = setup
+        stage1, stage2, lm, ids1 = setup
         force_probability_half(stage1)
-        pred = predict_two_stage_encoded(stage1, stage2, lm, ids1, ids2, threshold=0.5)
+        [pred] = predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold=0.5)
         assert pred.stage1_probability == 0.5
         assert pred.verdict is Verdict.VULNERABLE
         assert stage2.forward_calls == 1
         assert stage2.eval_samples == 1
 
     def test_positive_verdict_reports_class(self, setup):
-        stage1, stage2, lm, ids1, ids2 = setup
+        stage1, stage2, lm, ids1 = setup
         force_probability_half(stage1)
-        pred = predict_two_stage_encoded(stage1, stage2, lm, ids1, ids2, threshold=0.5)
+        [pred] = predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold=0.5)
         assert pred.class_distribution.shape == (3,)
         np.testing.assert_allclose(pred.class_distribution.sum(), 1.0, atol=1e-12)
         assert pred.predicted_cwe == lm.cwe_of(int(np.argmax(pred.class_distribution)))
 
     def test_sigmoid_head_distribution_renormalized(self, setup):
-        stage1, _, lm, ids1, ids2 = setup
+        stage1, _, lm, ids1 = setup
         force_probability_half(stage1)
         stage2 = build_model(tiny_stage2_spec(num_classes=3, head="sigmoid"), seed=1)
-        pred = predict_two_stage_encoded(stage1, stage2, lm, ids1, ids2, threshold=0.5)
+        [pred] = predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold=0.5)
         np.testing.assert_allclose(pred.class_distribution.sum(), 1.0, atol=1e-12)
 
     def test_probability_is_reported_either_way(self, setup):
-        stage1, stage2, lm, ids1, ids2 = setup
-        pred = predict_two_stage_encoded(stage1, stage2, lm, ids1, ids2)
+        stage1, stage2, lm, ids1 = setup
+        [pred] = predict_two_stage_encoded(stage1, stage2, lm, ids1)
         assert isinstance(pred, Prediction)
         assert 0.0 < pred.stage1_probability < 1.0
+
+    def test_stage2_longer_than_stage1_rejected(self, setup):
+        stage1, _, lm, ids1 = setup
+        force_probability_half(stage1)
+        spec = tiny_stage2_spec(num_classes=3)
+        spec.input_length = 14
+        stage2 = build_model(spec, seed=1)
+        # rejected before any model runs, positives or not
+        for threshold in (0.5, 0.6):
+            with pytest.raises(IncompatibleSpecError, match="14"):
+                predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold)
+        assert stage1.forward_calls == stage2.forward_calls == 0
+
+    def test_batch_runs_each_stage_once(self, setup, rng):
+        stage1, stage2, lm, _ = setup
+        ids1 = rng.integers(0, 12, size=(9, 12))
+        probs = stage1.forward(ids1)[:, 0]
+        threshold = float(np.median(probs))
+        pos = np.flatnonzero(probs >= threshold)
+        stage1.forward_calls = stage1.eval_samples = 0
+
+        preds = predict_two_stage_encoded(stage1, stage2, lm, ids1, threshold)
+        assert (stage1.forward_calls, stage1.eval_samples) == (1, 9)
+        assert (stage2.forward_calls, stage2.eval_samples) == (1, pos.size)
+        assert [p.stage1_probability for p in preds] == probs.tolist()
+        assert [i for i, p in enumerate(preds)
+                if p.verdict is Verdict.VULNERABLE] == pos.tolist()
+        # stage 2 reads the first L2 = 10 stage-1 ids of each positive row
+        dists = stage2.forward(ids1[pos, :10])
+        for row, i in enumerate(pos):
+            np.testing.assert_array_equal(preds[i].class_distribution, dists[row])
+
+    def test_no_rows_no_forward(self, setup):
+        stage1, stage2, lm, _ = setup
+        assert predict_two_stage_encoded(stage1, stage2, lm,
+                                         np.zeros((0, 12), dtype=np.int64)) == []
+        assert stage1.forward_calls == stage2.forward_calls == 0
 
     def test_verdict_enum_values(self):
         assert Verdict.VULNERABLE.value == "vulnerable"
         assert Verdict.NON_VULNERABLE.value == "non_vulnerable"
+
+
+def test_eval_forward_holds_one_layer_of_activations():
+    # inference keeps no activations for a backward pass, and the convolution
+    # copies one sample's patches at a time, so memory stays a few layer
+    # outputs large whatever the depth of the stack
+    model = build_model(stage1_spec(vocab_size=50), seed=0)
+    ids = np.random.default_rng(0).integers(0, 50, size=(4, 500))
+    conv1_output = 4 * 494 * 256 * 8  # bytes of the largest activation
+    tracemalloc.start()
+    try:
+        model.forward(ids)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < conv1_output
+    assert peak < 3 * conv1_output
 
 
 class TestPredictFromSource:

@@ -13,6 +13,7 @@ from vulncascade.normalizer import (
     load_preserve_list,
     normalize,
     normalize_source,
+    split_functions,
     tokenize,
 )
 
@@ -312,3 +313,20 @@ def test_normalize_with_explicit_roles():
     toks = tokenize("a(b)")
     forced = {"a": IdentifierRole.VARIABLE, "b": IdentifierRole.VARIABLE}
     assert normalize(toks, roles=forced).tokens == ["VAR0", "(", "VAR1", ")"]
+
+
+def test_function_slices_normalize_like_their_source_text():
+    # scan normalizes each function from its slice of the file's tokens; the
+    # result must equal lexing the function's own source text again
+    checked = 0
+    for source in SNIPPETS:
+        starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+
+        def offset(tok):
+            return starts[tok.line - 1] + tok.column - 1
+
+        for _, _, part in split_functions(tokenize(source)):
+            text = source[offset(part[0]):offset(part[-1]) + len(part[-1].text)]
+            assert normalize(part).tokens == normalize_source(text).tokens, text
+            checked += 1
+    assert checked >= len(SNIPPETS) // 2

@@ -9,7 +9,6 @@ from vulncascade.smote import (
     SmoteConfig,
     SynthRecord,
     class_histogram,
-    knn,
     nearest_neighbor_indices,
     oversample,
     synthesize,
@@ -33,21 +32,6 @@ class TestNeighbors:
     def test_too_few_points(self):
         with pytest.raises(NotEnoughPointsError):
             nearest_neighbor_indices(np.zeros((3, 2)), 0, 3)
-
-    def test_knn_excludes_exact_match_once(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
-        got = knn(pts, np.array([0.0, 0.0]), 2)
-        # one zero row is the query's stand-in and is excluded; the duplicate
-        # zero row is a legitimate neighbor
-        assert got.tolist() == [[0.0, 0.0], [3.0, 4.0]]
-
-    def test_knn_query_not_in_set(self):
-        pts = np.array([[0.0], [2.0], [5.0]])
-        assert knn(pts, np.array([1.9]), 2).tolist() == [[2.0], [0.0]]
-
-    def test_knn_shape_checks(self):
-        with pytest.raises(ShapeMismatchError):
-            knn(np.zeros((3, 2)), np.zeros(3), 1)
 
 
 class TestSynthesize:
