@@ -53,6 +53,9 @@ class EncodedArchive:
             raise ValueError("true_lengths and labels must each have one row per sample")
         if len(self.vocab_hash) != 64:
             raise ValueError("vocab_hash must be a sha256 hex digest")
+        bound = 2 if self.label_kind == LABEL_BINARY else self.num_classes
+        if n and (self.labels.min() < 0 or self.labels.max() >= bound):
+            raise ValueError(f"labels must lie in [0, {bound})")
 
     @property
     def count(self) -> int:
@@ -101,12 +104,15 @@ def load_archive(path: str) -> EncodedArchive:
     if off != len(blob):
         raise SpecCorruptError(f"{len(blob) - off} trailing bytes after archive")
 
-    return EncodedArchive(
-        label_kind=label_kind,
-        max_len=max_len,
-        num_classes=num_classes,
-        vocab_hash=vocab_hash,
-        ids=ids,
-        true_lengths=true_lengths,
-        labels=labels,
-    )
+    try:
+        return EncodedArchive(
+            label_kind=label_kind,
+            max_len=max_len,
+            num_classes=num_classes,
+            vocab_hash=vocab_hash,
+            ids=ids,
+            true_lengths=true_lengths,
+            labels=labels,
+        )
+    except ValueError as exc:
+        raise SpecCorruptError(f"corrupt archive: {exc}") from exc

@@ -186,11 +186,18 @@ def _train_paths(data_dir: str, stage: int) -> tuple[str, str]:
 def cmd_train(args) -> int:
     started = time.time()
     defaults = STAGE_DEFAULTS[args.stage]
+
+    def flag(name):
+        # only an omitted flag takes the stage default; an explicit 0
+        # reaches TrainConfig, which rejects it
+        value = getattr(args, name)
+        return defaults[name] if value is None else value
+
     config = TrainConfig(
-        optimizer=args.optimizer or defaults["optimizer"],
-        batch_size=args.batch_size or defaults["batch_size"],
-        epochs=args.epochs or defaults["epochs"],
-        learning_rate=args.learning_rate or defaults["learning_rate"],
+        optimizer=flag("optimizer"),
+        batch_size=flag("batch_size"),
+        epochs=flag("epochs"),
+        learning_rate=flag("learning_rate"),
         seed=args.seed,
         smote=args.smote if args.smote is not None else args.stage == 2,
         clip_norm=5.0 if args.clip else None,
@@ -199,8 +206,7 @@ def cmd_train(args) -> int:
     train_path, _ = _train_paths(args.data, args.stage)
     arch = load_archive(train_path)
     vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
-    if vocab.content_hash() != arch.vocab_hash:
-        raise VocabHashMismatchError(vocab.content_hash(), arch.vocab_hash)
+    _check_hash(vocab.content_hash(), arch.vocab_hash)
 
     label_map = None
     if args.stage == 1:
@@ -233,9 +239,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_hash(model_hash: str, archive_hash: str, what: str) -> None:
-    if model_hash != archive_hash:
-        raise VocabHashMismatchError(model_hash, archive_hash)
+def _check_hash(ours: str, theirs: str) -> None:
+    if ours != theirs:
+        raise VocabHashMismatchError(ours, theirs)
 
 
 def _reencode_rows(rows: np.ndarray, vocab: Vocabulary, max_len: int) -> np.ndarray:
@@ -251,17 +257,17 @@ def cmd_evaluate(args) -> int:
     stage1, header1 = load_model(args.stage1)
     _, test1_path = _train_paths(args.data, 1)
     arch1 = load_archive(test1_path)
-    _check_hash(header1.vocab_hash, arch1.vocab_hash, "stage1")
+    _check_hash(header1.vocab_hash, arch1.vocab_hash)
 
     if args.stage2:
         stage2, header2 = load_model(args.stage2)
-        _check_hash(header2.vocab_hash, arch1.vocab_hash, "stage2")
+        _check_hash(header2.vocab_hash, arch1.vocab_hash)
         label_map = header2.label_map()
         if label_map is None:
             raise CliError("stage-2 model carries no label map")
         _, test2_path = _train_paths(args.data, 2)
         arch2 = load_archive(test2_path)
-        _check_hash(header2.vocab_hash, arch2.vocab_hash, "stage2")
+        _check_hash(header2.vocab_hash, arch2.vocab_hash)
         vuln_rows = np.flatnonzero(arch1.labels == 1)
         if vuln_rows.shape[0] != arch2.count:
             raise CliError(
@@ -341,11 +347,9 @@ def _format_finding(label: str, pred, label_map) -> str:
 def cmd_scan(args) -> int:
     stage1, header1 = load_model(args.stage1)
     stage2, header2 = load_model(args.stage2)
-    if header1.vocab_hash != header2.vocab_hash:
-        raise VocabHashMismatchError(header1.vocab_hash, header2.vocab_hash)
+    _check_hash(header1.vocab_hash, header2.vocab_hash)
     vocab = Vocabulary.load(args.vocab)
-    if vocab.content_hash() != header1.vocab_hash:
-        raise VocabHashMismatchError(vocab.content_hash(), header1.vocab_hash)
+    _check_hash(vocab.content_hash(), header1.vocab_hash)
     label_map = header2.label_map()
     if label_map is None:
         raise CliError("stage-2 model carries no label map")

@@ -3,10 +3,8 @@
 Everything runs on float64 numpy arrays.  In training mode each layer caches
 what its backward pass needs, accumulates parameter gradients in-place, and
 returns the gradient with respect to its input, so a network is just an
-ordered list of layers.  An eval-mode forward caches no activations, so
-inference holds one layer's activations at a time.  Embedding, MaxPool1D and
-Flatten, whose backward needs only ids, argmax positions or a shape, keep
-their cache in both modes.
+ordered list of layers.  An eval-mode forward caches nothing, so inference
+holds one layer's activations at a time; backward needs a training forward.
 Forward and backward are pure given (input, parameters); only the optimizer
 mutates parameters.
 """
@@ -105,7 +103,7 @@ class Embedding(Layer):
             raise IdOutOfRangeError(
                 f"token id outside embedding table of {self.vocab_size} rows"
             )
-        self._ids = ids
+        self._ids = ids if training else None
         return self.table[ids]
 
     def backward(self, upstream):
@@ -193,8 +191,8 @@ class MaxPool1D(Layer):
                 f"sequence length {x.shape[1]} < pool window {self.window}"
             )
         windows = sliding_window_view(x, self.window, axis=1)[:, ::self.stride]
-        self._arg = windows.argmax(axis=-1)
-        self._in_shape = x.shape
+        self._arg = windows.argmax(axis=-1) if training else None
+        self._in_shape = x.shape if training else None
         return windows.max(axis=-1)
 
     def backward(self, upstream):
@@ -404,7 +402,7 @@ class Flatten(Layer):
         self._shape = None
 
     def forward(self, x, training: bool = False):
-        self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, upstream):

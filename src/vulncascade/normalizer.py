@@ -13,6 +13,7 @@ All functions here are pure; callers may normalize many samples in parallel.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,14 +45,6 @@ KEYWORDS = C_KEYWORDS | CPP_KEYWORDS
 # spelled exactly like one of them passes through unchanged, which makes
 # normalization idempotent on its own output.
 CANONICAL_LITERALS = {"NUMBER", "STRING", "CHAR"}
-
-_OPS3 = ("<<=", ">>=", "...", "->*")
-_OPS2 = ("->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-         "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "::", ".*")
-_OPS1 = set("+-*/%&|^~!<>=?:.")
-_PUNCT1 = set("()[]{};,")
-
-_STRING_PREFIXES = {"L", "u", "U", "u8"}
 
 
 class TokenKind(Enum):
@@ -97,201 +90,82 @@ class NormalizedSample:
         return " ".join(self.tokens)
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# One alternative per token shape, tried in this order at each position.
+# Words are Unicode identifiers (str.isalnum or "_", not starting with a
+# decimal digit); numbers follow the preprocessor "pp-number" rule: a digit, or
+# a dot then a digit, then any run of word characters and dots, with e/E/p/P
+# allowed to absorb a following sign.  That covers hex, octal, floats,
+# exponents and suffixes in one shape.  Quoted literals may carry an
+# L/u/U/u8 prefix and end at their closing quote, or unterminated at end of
+# line or input; a backslash escapes any next character, newline included.
+# Anything else (stray @, $, backticks...) is kept as a one-character
+# punctuator, so no input character is silently lost.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n\f\v]+)
+  | (?P<comment>/\*.*?\*/|//[^\n]*)
+  | (?P<open_comment>/\*.*)
+  | (?P<directive>\#(?:\\\r?\n|[^\n])*)
+  | (?P<quoted>(?:u8|[LuU])?(?P<quote>["'])
+        (?:(?!(?P=quote))[^\\\n]|\\.?)*(?P<close>(?P=quote))?)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<number>\.?\d(?:[eEpP][+-]|[\w.])*)
+  | (?P<ellipsis>\.\.\.)
+  | (?P<operator><<=|>>=|->\*|->|\+\+|--|<<|>>|&&|\|\||::|\.\*
+        |[-+*/%&|^<>=!]=|[-+*/%&|^~!<>=?:.])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
+_CONTINUATION_RE = re.compile(r"\\\r?\n")
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _Scanner:
-    """Single-pass character scanner with line/column tracking."""
-
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.src)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self) -> str:
-        ch = self.src[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def match(self, text: str) -> bool:
-        if self.src.startswith(text, self.pos):
-            for _ in text:
-                self.advance()
-            return True
-        return False
+_KINDS = {
+    "comment": TokenKind.COMMENT,
+    "number": TokenKind.NUMBER,
+    "ellipsis": TokenKind.PUNCTUATOR,
+    "operator": TokenKind.OPERATOR,
+    "other": TokenKind.PUNCTUATOR,
+}
 
 
 def tokenize(source: str, issues: list[LexIssue] | None = None) -> list[Token]:
     """Lex a C/C++ fragment into tokens.
 
     Every non-whitespace character lands in exactly one token.  Comments and
-    preprocessor directives are emitted as their own token kinds.  Unterminated
-    strings, character literals and block comments are closed at end of line /
-    end of input and recorded in ``issues`` when a list is supplied; lexing
-    always runs to completion.
+    preprocessor directives are emitted as their own token kinds; directive
+    continuations are folded to single spaces, so a directive's text never
+    contains a newline.  Unterminated strings, character literals and block
+    comments are closed at end of line / end of input and recorded in
+    ``issues`` when a list is supplied; lexing always runs to completion.
     """
-    sc = _Scanner(source)
     tokens: list[Token] = []
-
-    def note(kind: str, line: int, col: int) -> None:
-        if issues is not None:
-            issues.append(LexIssue(kind, line, col))
-
-    def scan_quoted(quote: str, prefix: str, line: int, col: int) -> Token:
-        # sc is positioned on the opening quote
-        text = prefix + sc.advance()
-        terminated = False
-        while not sc.eof():
-            ch = sc.peek()
-            if ch == "\n":
-                break
-            if ch == "\\" and sc.peek(1) != "":
-                text += sc.advance()
-                text += sc.advance()
-                continue
-            text += sc.advance()
-            if ch == quote:
-                terminated = True
-                break
-        if not terminated:
-            note("unterminated_string" if quote == '"' else "unterminated_char", line, col)
-            text += quote
-        kind = TokenKind.STRING if quote == '"' else TokenKind.CHAR
-        return Token(kind, text, line, col)
-
-    while not sc.eof():
-        ch = sc.peek()
-        if ch in " \t\r\n\f\v":
-            sc.advance()
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        group, text, start = m.lastgroup, m.group(), m.start()
+        tok_line, col = line, start - line_start + 1
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+        if group == "space":
             continue
-
-        line, col = sc.line, sc.col
-
-        # comments
-        if ch == "/" and sc.peek(1) == "*":
-            sc.advance()
-            sc.advance()
-            text = "/*"
-            closed = False
-            while not sc.eof():
-                if sc.peek() == "*" and sc.peek(1) == "/":
-                    sc.advance()
-                    sc.advance()
-                    text += "*/"
-                    closed = True
-                    break
-                text += sc.advance()
-            if not closed:
-                note("unterminated_comment", line, col)
-                text += "*/"
-            tokens.append(Token(TokenKind.COMMENT, text, line, col))
-            continue
-        if ch == "/" and sc.peek(1) == "/":
-            text = ""
-            while not sc.eof() and sc.peek() != "\n":
-                text += sc.advance()
-            tokens.append(Token(TokenKind.COMMENT, text, line, col))
-            continue
-
-        # preprocessor directive: '#' to end of line, honoring backslash
-        # continuations.  Continuations are folded to single spaces so the
-        # stored text never contains a newline.
-        if ch == "#":
-            text = ""
-            while not sc.eof() and sc.peek() != "\n":
-                if sc.peek() == "\\" and sc.peek(1) == "\n":
-                    sc.advance()
-                    sc.advance()
-                    text += " "
-                    continue
-                if sc.peek() == "\\" and sc.peek(1) == "\r" and sc.peek(2) == "\n":
-                    sc.advance()
-                    sc.advance()
-                    sc.advance()
-                    text += " "
-                    continue
-                text += sc.advance()
-            tokens.append(Token(TokenKind.PREPROCESSOR, text.rstrip(), line, col))
-            continue
-
-        # string / char literals
-        if ch in "\"'":
-            tokens.append(scan_quoted(ch, "", line, col))
-            continue
-
-        # identifiers, keywords and prefixed literals (L"...", u8"...")
-        if _is_ident_start(ch):
-            text = sc.advance()
-            while not sc.eof() and _is_ident_char(sc.peek()):
-                text += sc.advance()
-            if text in _STRING_PREFIXES and sc.peek() in ('"', "'"):
-                tokens.append(scan_quoted(sc.peek(), text, line, col))
-                continue
+        if group == "word":
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, text, line, col))
-            continue
-
-        # numbers, using the preprocessor "pp-number" rule: a digit (or a dot
-        # followed by a digit) then any run of identifier characters and dots,
-        # with e/E/p/P allowed to absorb a following sign.  This covers hex,
-        # octal, floats, exponents and suffixes in one shape.
-        if ch.isdigit() or (ch == "." and sc.peek(1).isdigit()):
-            text = sc.advance()
-            while not sc.eof():
-                nxt = sc.peek()
-                if _is_ident_char(nxt) or nxt == ".":
-                    text += sc.advance()
-                    if text[-1] in "eEpP" and sc.peek() in ("+", "-"):
-                        text += sc.advance()
-                else:
-                    break
-            tokens.append(Token(TokenKind.NUMBER, text, line, col))
-            continue
-
-        # operators and punctuators, longest match first
-        three = source[sc.pos:sc.pos + 3]
-        if three in _OPS3:
-            sc.match(three)
-            kind = TokenKind.PUNCTUATOR if three == "..." else TokenKind.OPERATOR
-            tokens.append(Token(kind, three, line, col))
-            continue
-        two = source[sc.pos:sc.pos + 2]
-        if two in _OPS2:
-            sc.match(two)
-            tokens.append(Token(TokenKind.OPERATOR, two, line, col))
-            continue
-        if ch in _OPS1:
-            sc.advance()
-            tokens.append(Token(TokenKind.OPERATOR, ch, line, col))
-            continue
-        if ch in _PUNCT1:
-            sc.advance()
-            tokens.append(Token(TokenKind.PUNCTUATOR, ch, line, col))
-            continue
-
-        # anything else (stray @, $, backticks...) is kept as a one-character
-        # punctuator so no input byte is silently lost
-        sc.advance()
-        tokens.append(Token(TokenKind.PUNCTUATOR, ch, line, col))
-
+        elif group == "quoted":
+            quote = m.group("quote")
+            kind = TokenKind.STRING if quote == '"' else TokenKind.CHAR
+            if m.group("close") is None:
+                issue = "unterminated_string" if quote == '"' else "unterminated_char"
+                if issues is not None:
+                    issues.append(LexIssue(issue, tok_line, col))
+                text += quote
+        elif group == "open_comment":
+            if issues is not None:
+                issues.append(LexIssue("unterminated_comment", tok_line, col))
+            kind, text = TokenKind.COMMENT, text + "*/"
+        elif group == "directive":
+            kind = TokenKind.PREPROCESSOR
+            text = _CONTINUATION_RE.sub(" ", text).rstrip()
+        else:
+            kind = _KINDS[group]
+        tokens.append(Token(kind, text, tok_line, col))
     return tokens
 
 
@@ -364,18 +238,13 @@ def classify_identifiers(tokens: list[Token]) -> dict[str, IdentifierRole]:
     first occurrence is ``(``; everything else is a variable.  Declarations and
     call sites are treated alike.
     """
+    code = [t for t in tokens if t.kind not in _DROPPED]
     roles: dict[str, IdentifierRole] = {}
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.IDENTIFIER or tok.text in roles:
-            continue
-        role = IdentifierRole.VARIABLE
-        for nxt in tokens[i + 1:]:
-            if nxt.kind in _DROPPED:
-                continue
-            if nxt.text == "(":
-                role = IdentifierRole.FUNCTION
-            break
-        roles[tok.text] = role
+    for tok, nxt in zip(code, code[1:] + [None]):
+        if tok.kind is TokenKind.IDENTIFIER and tok.text not in roles:
+            roles[tok.text] = (
+                IdentifierRole.FUNCTION if nxt is not None and nxt.text == "("
+                else IdentifierRole.VARIABLE)
     return roles
 
 

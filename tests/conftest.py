@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads: default threading oversubscribes a
+# small box and slows the suite several-fold when another job shares it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from vulncascade.optim import gradient_check
 

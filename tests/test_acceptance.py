@@ -224,7 +224,7 @@ def test_criterion_2_layer_oracles():
         x = 10.0 * rng.standard_normal(
             (int(rng.integers(1, 4)), int(rng.integers(window, window + 8)),
              int(rng.integers(1, 4))))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         upstream = rng.integers(-5, 6, size=out.shape).astype(np.float64)
         dx = layer.backward(upstream)
         # integer-valued mass makes both sums exact, so equality is strict

@@ -29,7 +29,8 @@ def sample_archive(n=5, max_len=7, kind=LABEL_CLASS, num_classes=4):
         vocab_hash=HASH,
         ids=rng.integers(0, 30, size=(n, max_len)),
         true_lengths=rng.integers(1, max_len + 1, size=n),
-        labels=rng.integers(0, num_classes, size=n),
+        labels=rng.integers(0, 2 if kind == LABEL_BINARY else num_classes,
+                            size=n),
     )
 
 
@@ -66,6 +67,19 @@ class TestValidation:
                 label_kind=LABEL_CLASS, max_len=arch.max_len, num_classes=4,
                 vocab_hash="abc", ids=arch.ids,
                 true_lengths=arch.true_lengths, labels=arch.labels,
+            )
+
+    @pytest.mark.parametrize("kind, bad", [(LABEL_BINARY, 2),
+                                           (LABEL_CLASS, 4), (LABEL_CLASS, -1)])
+    def test_rejects_out_of_range_label(self, kind, bad):
+        arch = sample_archive(kind=kind)
+        labels = arch.labels.copy()
+        labels[-1] = bad
+        with pytest.raises(ValueError, match="labels must lie"):
+            EncodedArchive(
+                label_kind=kind, max_len=arch.max_len, num_classes=4,
+                vocab_hash=HASH, ids=arch.ids,
+                true_lengths=arch.true_lengths, labels=labels,
             )
 
     def test_coerces_dtypes(self):
@@ -144,6 +158,29 @@ class TestDamage:
         blob = path.read_bytes()
         path.write_bytes(blob[:-1])
         with pytest.raises(ChecksumMismatchError, match="labels"):
+            load_archive(str(path))
+
+    def test_unknown_label_kind_byte(self, path):
+        blob = bytearray(path.read_bytes())
+        blob[6] = 7  # low byte of the u16 label_kind field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SpecCorruptError, match="label kind"):
+            load_archive(str(path))
+
+    def test_binary_label_out_of_range(self, tmp_path):
+        path = tmp_path / "b.vcen"
+        save_archive(sample_archive(kind=LABEL_BINARY), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[-3] = 1  # the last label, a u32, becomes 257 or 256
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SpecCorruptError, match="labels must lie"):
+            load_archive(str(path))
+
+    def test_class_label_out_of_range(self, path):
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = (4).to_bytes(4, "little")  # num_classes is 4
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SpecCorruptError, match="labels must lie"):
             load_archive(str(path))
 
     def test_trailing_garbage(self, path):

@@ -284,6 +284,16 @@ class TestTrain:
         assert main(["train", "--stage", "1", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m.vcmd")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size",
+                                      "--learning-rate"])
+    def test_zero_is_rejected_not_defaulted(self, workspace, tmp_path, capsys,
+                                            flag):
+        out = tmp_path / "m.vcmd"
+        assert main(["train", "--stage", "1", "--data", str(workspace["data"]),
+                     "--out", str(out), flag, "0"]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_stage_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["train", "--stage", "3", "--data", str(workspace["data"]),

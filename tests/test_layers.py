@@ -87,14 +87,14 @@ class TestMaxPool:
     def test_tie_takes_first_index(self):
         layer = MaxPool1D(2, 2)
         x = np.array([[[7.0], [7.0]]])
-        layer.forward(x)
+        layer.forward(x, training=True)
         dx = layer.backward(np.array([[[1.0]]]))
         assert dx.ravel().tolist() == [1.0, 0.0]
 
     def test_gradient_mass_conserved_exactly(self, rng):
         layer = MaxPool1D(2, 2)
         x = rng.standard_normal((3, 10, 4))
-        layer.forward(x)
+        layer.forward(x, training=True)
         upstream = rng.integers(-5, 6, size=(3, 5, 4)).astype(np.float64)
         dx = layer.backward(upstream)
         # integer masses sum without rounding, so equality is exact
@@ -103,7 +103,7 @@ class TestMaxPool:
     def test_upstream_values_placed_unchanged(self, rng):
         layer = MaxPool1D(2, 2)
         x = rng.standard_normal((2, 8, 3))
-        y = layer.forward(x)
+        y = layer.forward(x, training=True)
         upstream = rng.standard_normal(y.shape)
         dx = layer.backward(upstream)
         nz = dx[dx != 0.0]
@@ -236,7 +236,7 @@ class TestEmbedding:
     def test_repeated_ids_accumulate_gradient(self, rng):
         layer = Embedding(4, 2, rng)
         layer.zero_grad()
-        layer.forward(np.array([[1, 1, 1]]))
+        layer.forward(np.array([[1, 1, 1]]), training=True)
         layer.backward(np.ones((1, 3, 2)))
         assert np.allclose(layer.d_table[1], [3.0, 3.0])
         assert np.allclose(layer.d_table[0], 0.0)
@@ -271,7 +271,7 @@ class TestFlatten:
     def test_round_trip(self, rng):
         layer = Flatten()
         x = rng.standard_normal((2, 3, 4))
-        y = layer.forward(x)
+        y = layer.forward(x, training=True)
         assert y.shape == (2, 12)
         assert layer.backward(y).shape == (2, 3, 4)
         assert np.array_equal(layer.backward(y), x)

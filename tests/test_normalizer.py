@@ -142,6 +142,51 @@ class TestTokenize:
     def test_dangling_exponent_at_eof(self):
         assert kinds("1e") == [(TokenKind.NUMBER, "1e")]
 
+    def test_non_decimal_numerics_start_identifiers(self):
+        # numbers start at a decimal digit (Unicode Nd); other numeric
+        # characters (No, Nl) lex like letters, as they already did inside
+        # identifiers
+        for ch in ("\u00b2", "\u00bd", "\u216b"):  # superscript 2, 1/2, XII
+            assert kinds(ch) == [(TokenKind.IDENTIFIER, ch)], ch
+            assert kinds("x" + ch) == [(TokenKind.IDENTIFIER, "x" + ch)], ch
+            assert kinds("1" + ch) == [(TokenKind.NUMBER, "1" + ch)], ch
+        arabic_three = "\u0663"
+        assert kinds(arabic_three) == [(TokenKind.NUMBER, arabic_three)]
+
+    def test_backslash_at_eof_in_unterminated_string(self):
+        issues: list[LexIssue] = []
+        assert [(t.kind, t.text) for t in tokenize('s = "ab\\', issues)][-1] \
+            == (TokenKind.STRING, '"ab\\"')
+        assert issues == [LexIssue("unterminated_string", 1, 5)]
+
+    def test_crlf_directive_continuation_folded(self):
+        toks = tokenize("#define X 1 \\\r\n + 2\r\nint y;")
+        assert toks[0].text == "#define X 1   + 2"
+        assert (toks[1].text, toks[1].line, toks[1].column) == ("int", 3, 1)
+
+    def test_star_slash_overlap_is_unterminated(self):
+        # the '*' that opens a comment cannot also close it
+        issues: list[LexIssue] = []
+        assert kinds("/*/ x") == [(TokenKind.COMMENT, "/*/ x*/")]
+        tokenize("/*/ x", issues)
+        assert issues == [LexIssue("unterminated_comment", 1, 1)]
+
+    def test_prefix_spelling_is_exact(self):
+        assert kinds("u8'x'") == [(TokenKind.CHAR, "u8'x'")]
+        # prefixes are case-sensitive: U8 is an identifier, then a string
+        assert kinds('U8"x"') == [(TokenKind.IDENTIFIER, "U8"),
+                                  (TokenKind.STRING, '"x"')]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="abxyzLuU_019.e+-*/%&|^~!<>=?:()[]{};,@$ \t\r\n"
+                            "\f\v\u00e9\u00b2\u00a0", max_size=60)
+           .map(lambda s: re.sub(r"/(?=[/*])", "/ ", s)))
+    def test_tokens_cover_every_non_blank_character(self, source):
+        # without quotes, backslashes, directives or comments, every token
+        # is a verbatim piece of the source and nothing else is skipped
+        joined = "".join(t.text for t in tokenize(source))
+        assert joined == re.sub(r"[ \t\r\n\f\v]", "", source)
+
 
 class TestClassify:
     def test_call_means_function(self):
