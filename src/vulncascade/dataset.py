@@ -45,7 +45,6 @@ class LineDiagnostic:
 class SplitSpec:
     train_fraction: float = 0.8
     seed: int = 42
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -171,32 +170,24 @@ def split(
 ) -> tuple[list[CorpusSample], list[CorpusSample]]:
     """Disjoint, exhaustive train/test partition with a seeded shuffle.
 
-    Stratified mode partitions within each class (CWE for vulnerable samples,
-    one shared bucket for clean ones) so per-class proportions stay within one
-    sample of the requested fraction.
+    The partition is stratified: each class (CWE for vulnerable samples, one
+    shared bucket for clean ones) is split on its own, so per-class
+    proportions stay within one sample of the requested fraction.
     """
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 samples to split")
     rng = np.random.default_rng(spec.seed)
     train: list[CorpusSample] = []
     test: list[CorpusSample] = []
-    if spec.stratified:
-        buckets: dict[str, list[int]] = {}
-        for i, s in enumerate(samples):
-            buckets.setdefault(_strat_key(s), []).append(i)
-        for key in sorted(buckets):
-            idx = np.array(buckets[key])
-            rng.shuffle(idx)
-            n_train = int(round(spec.train_fraction * len(idx)))
-            if len(idx) >= 2:
-                n_train = min(max(n_train, 1), len(idx) - 1)
-            train.extend(samples[i] for i in idx[:n_train])
-            test.extend(samples[i] for i in idx[n_train:])
-    else:
-        idx = np.arange(len(samples))
+    buckets: dict[str, list[int]] = {}
+    for i, s in enumerate(samples):
+        buckets.setdefault(_strat_key(s), []).append(i)
+    for key in sorted(buckets):
+        idx = np.array(buckets[key])
         rng.shuffle(idx)
         n_train = int(round(spec.train_fraction * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
+        if len(idx) >= 2:
+            n_train = min(max(n_train, 1), len(idx) - 1)
         train.extend(samples[i] for i in idx[:n_train])
         test.extend(samples[i] for i in idx[n_train:])
     return train, test

@@ -5,11 +5,15 @@ what its backward pass needs, accumulates parameter gradients in-place, and
 returns the gradient with respect to its input, so a network is just an
 ordered list of layers.  An eval-mode forward caches nothing, so inference
 holds one layer's activations at a time; backward needs a training forward.
-Forward and backward are pure given (input, parameters); only the optimizer
-mutates parameters.
+Gradient buffers exist only after training use: they are allocated the first
+time zero_grad, grads or backward touches them, so a model that only infers
+never holds them.  Forward and backward are pure given (input, parameters);
+only the optimizer mutates parameters.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,29 +50,45 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex / np.sum(ex, axis=-1, keepdims=True)
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def _uniform(rng: np.random.Generator | None, limit: float, shape) -> np.ndarray:
+    """Draws from U(-limit, limit), or an uninitialized array when rng is None
+    (the caller fills it, as a model load does)."""
+    if rng is None:
+        return np.empty(shape)
     return rng.uniform(-limit, limit, size=shape)
 
 
+def glorot_uniform(rng: np.random.Generator | None, shape, fan_in: int,
+                   fan_out: int) -> np.ndarray:
+    return _uniform(rng, np.sqrt(6.0 / (fan_in + fan_out)), shape)
+
+
 class Layer:
-    """Base: a layer owns its parameters and their gradient buffers."""
+    """Base: a layer names its trainable arrays in PARAMS and the arrays that
+    persist without training (running statistics) in STATE; the gradient
+    buffers are derived from PARAMS."""
+
+    PARAMS: tuple[str, ...] = ()
+    STATE: tuple[str, ...] = ()
 
     def params(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
-    def grads(self) -> list[tuple[str, np.ndarray]]:
-        return []
+        return [(name, getattr(self, name)) for name in self.PARAMS]
 
     def state(self) -> list[tuple[str, np.ndarray]]:
-        """Non-trainable arrays that still persist with the model."""
-        return []
+        return [(name, getattr(self, name)) for name in self.STATE]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return self.params() + self.state()
 
+    @cached_property
+    def grad(self) -> dict[str, np.ndarray]:
+        return {name: np.zeros_like(arr) for name, arr in self.params()}
+
+    def grads(self) -> list[tuple[str, np.ndarray]]:
+        return list(self.grad.items())
+
     def zero_grad(self) -> None:
-        for _, g in self.grads():
+        for g in self.grad.values():
             g.fill(0.0)
 
     def forward(self, x, training: bool = False):
@@ -84,18 +104,13 @@ class Embedding(Layer):
     Rows are drawn uniformly from +-0.05.  The padding id 0 is an ordinary row.
     """
 
-    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
+    PARAMS = ("table",)
+
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator | None):
         self.vocab_size = vocab_size
         self.dim = dim
-        self.table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
-        self.d_table = np.zeros_like(self.table)
+        self.table = _uniform(rng, 0.05, (vocab_size, dim))
         self._ids = None
-
-    def params(self):
-        return [("table", self.table)]
-
-    def grads(self):
-        return [("table", self.d_table)]
 
     def forward(self, ids, training: bool = False):
         ids = np.asarray(ids)
@@ -108,7 +123,7 @@ class Embedding(Layer):
 
     def backward(self, upstream):
         # repeated ids accumulate; there is no gradient for the ids themselves
-        np.add.at(self.d_table, self._ids.ravel(),
+        np.add.at(self.grad["table"], self._ids.ravel(),
                   upstream.reshape(-1, self.dim))
         return None
 
@@ -116,8 +131,10 @@ class Embedding(Layer):
 class Conv1D(Layer):
     """Valid (no padding), stride-1 temporal convolution: (B,L,C) -> (B,L-k+1,F)."""
 
+    PARAMS = ("weights", "bias")
+
     def __init__(self, in_channels: int, filters: int, kernel_size: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.in_channels = in_channels
         self.filters = filters
         self.kernel_size = kernel_size
@@ -126,15 +143,7 @@ class Conv1D(Layer):
         self.weights = glorot_uniform(rng, (filters, in_channels, kernel_size),
                                       fan_in, fan_out)
         self.bias = np.zeros(filters)
-        self.d_weights = np.zeros_like(self.weights)
-        self.d_bias = np.zeros_like(self.bias)
         self._x = None
-
-    def params(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
-    def grads(self):
-        return [("weights", self.d_weights), ("bias", self.d_bias)]
 
     def forward(self, x, training: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -161,8 +170,8 @@ class Conv1D(Layer):
         k = self.kernel_size
         l_out = x.shape[1] - k + 1
         patches = sliding_window_view(x, k, axis=1)
-        self.d_bias += upstream.sum(axis=(0, 1))
-        self.d_weights += np.tensordot(upstream, patches, axes=([0, 1], [0, 1]))
+        self.grad["bias"] += upstream.sum(axis=(0, 1))
+        self.grad["weights"] += np.tensordot(upstream, patches, axes=([0, 1], [0, 1]))
         dx = np.zeros_like(x)
         for j in range(k):
             dx[:, j:j + l_out, :] += upstream @ self.weights[:, :, j]
@@ -212,7 +221,9 @@ class LSTM(Layer):
     (B, L, H) or only the last step (B, H).
     """
 
-    def __init__(self, input_dim: int, units: int, rng: np.random.Generator,
+    PARAMS = ("w_in", "w_rec", "bias")
+
+    def __init__(self, input_dim: int, units: int, rng: np.random.Generator | None,
                  return_sequences: bool = False):
         self.input_dim = input_dim
         self.units = units
@@ -221,16 +232,7 @@ class LSTM(Layer):
         self.w_in = glorot_uniform(rng, (4 * h, input_dim), input_dim, 4 * h)
         self.w_rec = glorot_uniform(rng, (4 * h, h), h, 4 * h)
         self.bias = np.zeros(4 * h)
-        self.d_w_in = np.zeros_like(self.w_in)
-        self.d_w_rec = np.zeros_like(self.w_rec)
-        self.d_bias = np.zeros_like(self.bias)
         self._cache = None
-
-    def params(self):
-        return [("w_in", self.w_in), ("w_rec", self.w_rec), ("bias", self.bias)]
-
-    def grads(self):
-        return [("w_in", self.d_w_in), ("w_rec", self.d_w_rec), ("bias", self.d_bias)]
 
     def forward(self, x, training: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -284,9 +286,9 @@ class LSTM(Layer):
                  do * go * (1.0 - go)],
                 axis=1,
             )
-            self.d_w_in += dz.T @ x_t
-            self.d_w_rec += dz.T @ h_prev
-            self.d_bias += dz.sum(axis=0)
+            self.grad["w_in"] += dz.T @ x_t
+            self.grad["w_rec"] += dz.T @ h_prev
+            self.grad["bias"] += dz.sum(axis=0)
             dx[:, t] = dz @ self.w_in
             dh_next = dz @ self.w_rec
             dc_next = dc * gf
@@ -302,6 +304,9 @@ class BatchNorm1D(Layer):
     estimates only.
     """
 
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+
     def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -312,18 +317,7 @@ class BatchNorm1D(Layer):
         self.beta = np.zeros(features)
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
-        self.d_gamma = np.zeros_like(self.gamma)
-        self.d_beta = np.zeros_like(self.beta)
         self._cache = None
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def grads(self):
-        return [("gamma", self.d_gamma), ("beta", self.d_beta)]
-
-    def state(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
     def forward(self, x, training: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -355,8 +349,8 @@ class BatchNorm1D(Layer):
     def backward(self, upstream):
         xhat, inv_std, shape = self._cache
         dy = upstream.reshape(-1, self.features)
-        self.d_gamma += (dy * xhat).sum(axis=0)
-        self.d_beta += dy.sum(axis=0)
+        self.grad["gamma"] += (dy * xhat).sum(axis=0)
+        self.grad["beta"] += dy.sum(axis=0)
         dx = self.gamma * inv_std * (
             dy - dy.mean(axis=0) - xhat * (dy * xhat).mean(axis=0)
         )
@@ -366,21 +360,16 @@ class BatchNorm1D(Layer):
 class Dense(Layer):
     """Affine map (B, I) -> (B, O) with weights stored as (O, I)."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    PARAMS = ("weights", "bias")
+
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator | None):
         self.in_features = in_features
         self.out_features = out_features
         self.weights = glorot_uniform(rng, (out_features, in_features),
                                       in_features, out_features)
         self.bias = np.zeros(out_features)
-        self.d_weights = np.zeros_like(self.weights)
-        self.d_bias = np.zeros_like(self.bias)
         self._x = None
-
-    def params(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
-    def grads(self):
-        return [("weights", self.d_weights), ("bias", self.d_bias)]
 
     def forward(self, x, training: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -392,8 +381,8 @@ class Dense(Layer):
         return x @ self.weights.T + self.bias
 
     def backward(self, upstream):
-        self.d_weights += upstream.T @ self._x
-        self.d_bias += upstream.sum(axis=0)
+        self.grad["weights"] += upstream.T @ self._x
+        self.grad["bias"] += upstream.sum(axis=0)
         return upstream @ self.weights
 
 

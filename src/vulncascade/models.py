@@ -247,7 +247,13 @@ def build_model(spec: ModelSpec, seed: int = 0) -> Model:
 
     The same seed always produces bitwise-identical initial parameters.
     """
-    rng = np.random.default_rng(seed)
+    return _assemble(spec, np.random.default_rng(seed))
+
+
+def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
+    """Walk the spec's shapes and allocate its layers.  Parameters are drawn
+    from rng in layer order; with no rng the randomly initialized ones are
+    left uninitialized, for a caller that fills every tensor."""
     layers: list[Layer] = [Embedding(spec.vocab_size, spec.embedding_dim, rng)]
     # shape state after the embedding: a (length, channels) sequence
     seq: tuple[int, int] | None = (spec.input_length, spec.embedding_dim)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # C89/C99 keywords plus the C++17 keyword set.  Keywords are never rewritten.
 C_KEYWORDS = {
@@ -64,8 +65,7 @@ class IdentifierRole(Enum):
     FUNCTION = "function"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int

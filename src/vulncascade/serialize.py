@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
     magic "VCMD" | u32 header length | header JSON (utf-8)
-    u64 payload length | payload | sha256(payload), 32 bytes
+    u64 payload length | payload | sha256(every byte before it), 32 bytes
 
 The header carries format_version, stage, the full architecture spec, the
 vocabulary content hash and the label map, so a loaded model can refuse
@@ -24,10 +24,10 @@ import numpy as np
 
 from .dataset import LabelMap
 from .errors import ChecksumMismatchError, SpecCorruptError, VersionMismatchError
-from .models import Model, ModelSpec, build_model
+from .models import Model, ModelSpec, _assemble
 
 MODEL_MAGIC = b"VCMD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -42,13 +42,13 @@ class ModelHeader:
         return LabelMap(tuple(self.label_classes)) if self.label_classes else None
 
 
-def _pack_tensors(model: Model) -> bytes:
+def _pack_tensors(model: Model) -> bytearray:
     payload = bytearray()
     for _, arr in model.named_tensors():
         payload += struct.pack("<B", arr.ndim)
         payload += struct.pack(f"<{arr.ndim}I", *arr.shape)
         payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return bytes(payload)
+    return payload
 
 
 def save_model(
@@ -66,66 +66,72 @@ def save_model(
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = _pack_tensors(model)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(hashlib.sha256(payload).digest())
+        for part in (MODEL_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes,
+                     struct.pack("<Q", len(payload)), payload):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
-def _read_exact(blob: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    if offset + count > len(blob):
+def _take(view: memoryview, offset: int, count: int, what: str) -> tuple[memoryview, int]:
+    """The count bytes at offset, as a view into the file, and the offset after them."""
+    if offset + count > len(view):
         raise ChecksumMismatchError(f"file truncated while reading {what}")
-    return blob[offset:offset + count], offset + count
+    return view[offset:offset + count], offset + count
 
 
 def load_model(path: str) -> tuple[Model, ModelHeader]:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        view = memoryview(fh.read())
 
-    chunk, off = _read_exact(blob, 0, 4, "magic")
+    chunk, off = _take(view, 0, 4, "magic")
     if chunk != MODEL_MAGIC:
-        raise SpecCorruptError(f"not a model file: bad magic {chunk!r}")
-    chunk, off = _read_exact(blob, off, 4, "header length")
+        raise SpecCorruptError(f"not a model file: bad magic {bytes(chunk)!r}")
+    chunk, off = _take(view, off, 4, "header length")
     (header_len,) = struct.unpack("<I", chunk)
-    chunk, off = _read_exact(blob, off, header_len, "header")
+    chunk, off = _take(view, off, header_len, "header")
     try:
-        header_raw = json.loads(chunk.decode("utf-8"))
+        header_raw = json.loads(str(chunk, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecCorruptError(f"unreadable model header: {exc}") from exc
+    if not isinstance(header_raw, dict):
+        raise SpecCorruptError("model header is not a JSON object")
 
+    # read before the digest, so that a file of another version is reported
+    # as such and not as damaged
     version = header_raw.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(version, FORMAT_VERSION)
 
+    chunk, off = _take(view, off, 8, "payload length")
+    (payload_len,) = struct.unpack("<Q", chunk)
+    payload, off = _take(view, off, payload_len, "payload")
+    digest, end = _take(view, off, 32, "checksum")
+    if hashlib.sha256(view[:off]).digest() != digest:
+        raise ChecksumMismatchError("model file does not match its checksum")
+    if end != len(view):
+        raise SpecCorruptError(f"{len(view) - end} bytes after the checksum")
+
     try:
         spec = ModelSpec.from_dict(header_raw["spec"])
+        model = _assemble(spec, rng=None)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecCorruptError(f"model header spec is malformed: {exc}") from exc
 
-    chunk, off = _read_exact(blob, off, 8, "payload length")
-    (payload_len,) = struct.unpack("<Q", chunk)
-    payload, off = _read_exact(blob, off, payload_len, "payload")
-    digest, off = _read_exact(blob, off, 32, "checksum")
-    if hashlib.sha256(payload).digest() != digest:
-        raise ChecksumMismatchError("model payload does not match its checksum")
-
-    model = build_model(spec, seed=0)
     pos = 0
     for name, arr in model.named_tensors():
-        chunk, pos = _read_exact(payload, pos, 1, f"{name} rank")
-        (ndim,) = struct.unpack("<B", chunk)
-        chunk, pos = _read_exact(payload, pos, 4 * ndim, f"{name} extents")
+        chunk, pos = _take(payload, pos, 1, f"{name} rank")
+        ndim = chunk[0]
+        chunk, pos = _take(payload, pos, 4 * ndim, f"{name} extents")
         shape = struct.unpack(f"<{ndim}I", chunk)
         if shape != arr.shape:
             raise SpecCorruptError(
                 f"tensor {name} has shape {shape}, spec implies {arr.shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        chunk, pos = _read_exact(payload, pos, 8 * count, f"{name} values")
-        arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        chunk, pos = _take(payload, pos, 8 * arr.size, f"{name} values")
+        arr[...] = np.frombuffer(chunk, "<f8").reshape(shape)
     if pos != len(payload):
         raise SpecCorruptError(f"{len(payload) - pos} trailing payload bytes")
 

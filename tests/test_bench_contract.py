@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -56,3 +58,19 @@ def test_tracer_installs_and_uninstalls_cleanly():
     after = package_bindings(spans)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_workloads_find_every_package_name():
+    """``perfbench/workloads.py`` imports, patches and reads these names."""
+    from vulncascade import archive, cli, models, serialize, training
+
+    assert callable(cli.main)
+    # the scan workload swaps cli.load_model to capture the loaded models
+    assert cli.load_model is serialize.load_model
+    assert callable(training.predict_batched)
+    assert callable(archive.load_archive)
+    spec = models.ModelSpec(stage=1, vocab_size=3, embedding_dim=2, input_length=2,
+                            layers=(models.FlattenSpec(), models.DenseSpec(1)))
+    model = models.build_model(spec)
+    training.predict_batched(model, np.array([[0, 1], [2, 0]]))
+    assert model.eval_samples == 2

@@ -238,8 +238,8 @@ class TestEmbedding:
         layer.zero_grad()
         layer.forward(np.array([[1, 1, 1]]), training=True)
         layer.backward(np.ones((1, 3, 2)))
-        assert np.allclose(layer.d_table[1], [3.0, 3.0])
-        assert np.allclose(layer.d_table[0], 0.0)
+        assert np.allclose(layer.grad["table"][1], [3.0, 3.0])
+        assert np.allclose(layer.grad["table"][0], 0.0)
 
     def test_init_range(self, rng):
         layer = Embedding(50, 20, rng)

@@ -8,6 +8,7 @@ from vulncascade.normalizer import (
     KEYWORDS,
     IdentifierRole,
     LexIssue,
+    Token,
     TokenKind,
     classify_identifiers,
     load_preserve_list,
@@ -37,6 +38,13 @@ class TestTokenize:
         ]
         assert toks[0].kind is TokenKind.KEYWORD
         assert toks[1].kind is TokenKind.IDENTIFIER
+
+    def test_token_fields_are_fixed_and_immutable(self):
+        tok = tokenize("x")[0]
+        assert Token._fields == ("kind", "text", "line", "column")
+        assert tok == Token(TokenKind.IDENTIFIER, "x", 1, 1)
+        with pytest.raises(AttributeError):
+            tok.text = "y"
 
     def test_keywords_recognized(self):
         for kw in ("while", "sizeof", "constexpr", "_Bool"):

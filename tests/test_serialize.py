@@ -1,5 +1,6 @@
 """Model container round trips and resistance to damaged files."""
 
+import hashlib
 import json
 import struct
 
@@ -23,7 +24,8 @@ from vulncascade.models import (
     PoolSpec,
     build_model,
 )
-from vulncascade.serialize import MODEL_MAGIC, load_model, save_model
+from vulncascade.errors import PipelineError
+from vulncascade.serialize import FORMAT_VERSION, MODEL_MAGIC, load_model, save_model
 
 VOCAB_HASH = "ab" * 32
 
@@ -43,8 +45,9 @@ def small_spec():
 @pytest.fixture
 def trained_model(rng):
     model = build_model(small_spec(), seed=2)
-    # perturb away from the seed-0 init that load_model starts from, and
-    # run one training-mode forward so batchnorm running stats are nontrivial
+    # perturb away from the seeded init, so biases and batchnorm scales are
+    # not their constant defaults, and run one training-mode forward so
+    # batchnorm running stats are nontrivial
     for arr in model.params():
         arr += rng.normal(scale=0.05, size=arr.shape)
     model.forward(rng.integers(0, 9, size=(6, 10)), training=True)
@@ -86,12 +89,23 @@ class TestRoundTrip:
     def test_header_fields(self, saved):
         path, model, lm = saved
         _, header = load_model(str(path))
-        assert header.format_version == 1
+        assert header.format_version == FORMAT_VERSION == 2
         assert header.stage == 2
         assert header.spec == model.spec
         assert header.vocab_hash == VOCAB_HASH
         assert header.label_classes == lm.classes
         assert header.label_map().classes == lm.classes
+
+    def test_load_draws_nothing_and_holds_no_gradients(self, saved, rng, monkeypatch):
+        path, model, _ = saved
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _ = load_model(str(path))
+        loaded.forward(rng.integers(0, 9, size=(2, 10)))
+        assert not any("grad" in vars(layer) for layer in loaded.layers)
 
     def test_no_label_map(self, tmp_path, trained_model):
         path = tmp_path / "m.vcmd"
@@ -119,6 +133,22 @@ def rewrite(path, blob):
     return str(path)
 
 
+def reseal(body):
+    """A file body (everything before the digest) with a matching digest, so
+    that a deliberate edit reaches the check behind the digest."""
+    body = bytes(body)
+    return body + hashlib.sha256(body).digest()
+
+
+def edit_header(blob, edit):
+    """The file with its header JSON passed through edit, the old digest kept."""
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + header_len].decode())
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    return blob[:4] + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len:]
+
+
 class TestDamage:
     def test_bad_magic(self, saved):
         path, _, _ = saved
@@ -135,29 +165,76 @@ class TestDamage:
         with pytest.raises(SpecCorruptError, match="header"):
             load_model(rewrite(path, bytes(blob)))
 
+    def test_header_not_an_object(self, saved):
+        path, _, _ = saved
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        out = blob[:4] + struct.pack("<I", 2) + b"[]" + blob[8 + header_len:]
+        with pytest.raises(SpecCorruptError, match="object"):
+            load_model(rewrite(path, out))
+
     def test_wrong_version(self, saved):
         path, _, _ = saved
-        blob = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + header_len].decode())
-        header["format_version"] = 99
-        new_header = json.dumps(header, sort_keys=True).encode()
-        out = blob[:4] + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len:]
+        blob = path.read_bytes()
+        out = edit_header(blob, lambda h: h.update(format_version=99))
         with pytest.raises(VersionMismatchError) as info:
-            load_model(rewrite(path, bytes(out)))
+            load_model(rewrite(path, out))
         assert info.value.found == 99
-        assert info.value.expected == 1
+        assert info.value.expected == FORMAT_VERSION
+
+    def test_version_1_file_is_reported_as_old(self, saved):
+        # version 1 digested the payload alone; it is refused for its version,
+        # not reported as damaged
+        path, _, _ = saved
+        out = edit_header(path.read_bytes(), lambda h: h.update(format_version=1))
+        (header_len,) = struct.unpack_from("<I", out, 4)
+        body = 8 + header_len
+        (payload_len,) = struct.unpack_from("<Q", out, body)
+        payload = out[body + 8:body + 8 + payload_len]
+        v1 = out[:body + 8 + payload_len] + hashlib.sha256(payload).digest()
+        with pytest.raises(VersionMismatchError) as info:
+            load_model(rewrite(path, v1))
+        assert (info.value.found, info.value.expected) == (1, 2)
 
     def test_malformed_spec(self, saved):
         path, _, _ = saved
-        blob = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + header_len].decode())
-        del header["spec"]["layers"]
-        new_header = json.dumps(header, sort_keys=True).encode()
-        out = blob[:4] + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len:]
+        out = edit_header(path.read_bytes(), lambda h: h["spec"].pop("layers"))
         with pytest.raises(SpecCorruptError, match="spec"):
-            load_model(rewrite(path, bytes(out)))
+            load_model(rewrite(path, reseal(out[:-32])))
+
+    def test_spec_field_of_wrong_type(self, saved):
+        path, _, _ = saved
+
+        def stringify_units(header):
+            for entry in header["spec"]["layers"]:
+                if entry["type"] == "dense":
+                    entry["units"] = str(entry["units"])
+
+        out = edit_header(path.read_bytes(), stringify_units)
+        with pytest.raises(SpecCorruptError, match="spec"):
+            load_model(rewrite(path, reseal(out[:-32])))
+
+    def test_header_edit_without_reseal_is_detected(self, saved):
+        path, _, _ = saved
+        out = edit_header(path.read_bytes(),
+                          lambda h: h.update(label_classes=["CWE-7"] + h["label_classes"][1:]))
+        with pytest.raises(ChecksumMismatchError, match="checksum"):
+            load_model(rewrite(path, out))
+
+    def test_every_header_byte_flip_is_rejected(self, tmp_path):
+        model = build_model(ModelSpec(
+            stage=1, vocab_size=3, embedding_dim=2, input_length=3,
+            layers=(FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))))
+        path = tmp_path / "tiny.vcmd"
+        save_model(model, str(path), VOCAB_HASH, label_map=LabelMap(["CWE-121"]))
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        for i in range(8, 8 + header_len):
+            for mask in (0x01, 0x20):
+                damaged = bytearray(blob)
+                damaged[i] ^= mask
+                with pytest.raises(PipelineError):
+                    load_model(rewrite(path, bytes(damaged)))
 
     def test_flipped_payload_byte(self, saved):
         path, _, _ = saved
@@ -183,35 +260,32 @@ class TestDamage:
         # header advertises a wider dense layer than the payload carries
         path = tmp_path / "m.vcmd"
         save_model(trained_model, str(path), VOCAB_HASH)
-        blob = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + header_len].decode())
-        for entry in header["spec"]["layers"]:
-            if entry["type"] == "dense":
-                entry["units"] = 7
-        new_header = json.dumps(header, sort_keys=True).encode()
-        out = blob[:4] + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len:]
+
+        def widen(header):
+            for entry in header["spec"]["layers"]:
+                if entry["type"] == "dense":
+                    entry["units"] = 7
+
+        out = edit_header(path.read_bytes(), widen)
         with pytest.raises(SpecCorruptError, match="shape"):
-            load_model(rewrite(path, bytes(out)))
+            load_model(rewrite(path, reseal(out[:-32])))
 
     def test_trailing_payload_bytes(self, tmp_path, trained_model):
-        import hashlib
-
         path = tmp_path / "m.vcmd"
         save_model(trained_model, str(path), VOCAB_HASH)
-        blob = bytearray(path.read_bytes())
+        blob = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, 4)
         body = 8 + header_len
         (payload_len,) = struct.unpack_from("<Q", blob, body)
-        payload = bytes(blob[body + 8:body + 8 + payload_len]) + b"\x00" * 8
-        out = (
-            bytes(blob[:body])
-            + struct.pack("<Q", len(payload))
-            + payload
-            + hashlib.sha256(payload).digest()
-        )
+        payload = blob[body + 8:body + 8 + payload_len] + b"\x00" * 8
+        out = reseal(blob[:body] + struct.pack("<Q", len(payload)) + payload)
         with pytest.raises(SpecCorruptError, match="trailing"):
             load_model(rewrite(path, out))
+
+    def test_bytes_after_checksum(self, saved):
+        path, _, _ = saved
+        with pytest.raises(SpecCorruptError, match="after the checksum"):
+            load_model(rewrite(path, path.read_bytes() + b"\x00"))
 
     def test_magic_constant(self):
         assert MODEL_MAGIC == b"VCMD"
