@@ -31,12 +31,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -129,7 +127,14 @@ class Embedding(Layer):
 
 
 class Conv1D(Layer):
-    """Valid (no padding), stride-1 temporal convolution: (B,L,C) -> (B,L-k+1,F)."""
+    """Valid (no padding), stride-1 temporal convolution: (B,L,C) -> (B,L-k+1,F).
+
+    Weights are stored (F, C, k).  The forward contracts each sample's
+    sliding windows with them.  The backward reads each sample as im2col
+    rows in (k, C) order, row t being x[b, t:t + k] flattened, so it is k*C
+    contiguous inputs: dW is one (F, k*C) GEMM per sample, and dx is one
+    (L', F) @ (F, k*C) GEMM per sample added back into k shifted slices.
+    """
 
     PARAMS = ("weights", "bias")
 
@@ -167,28 +172,45 @@ class Conv1D(Layer):
 
     def backward(self, upstream):
         x = self._x
-        k = self.kernel_size
-        l_out = x.shape[1] - k + 1
-        patches = sliding_window_view(x, k, axis=1)
+        k, c, f = self.kernel_size, self.in_channels, self.filters
+        l_out = upstream.shape[1]
         self.grad["bias"] += upstream.sum(axis=(0, 1))
-        self.grad["weights"] += np.tensordot(upstream, patches, axes=([0, 1], [0, 1]))
+        # cols[b, t] = x[b, t:t + k] as a (k, C) view; one sample at a time,
+        # so no whole-batch patch copy is ever made
+        cols = sliding_window_view(x, k, axis=1).transpose(0, 1, 3, 2)
+        w_cols = self.weights.transpose(0, 2, 1).reshape(f, k * c)
+        dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
-        for j in range(k):
-            dx[:, j:j + l_out, :] += upstream @ self.weights[:, :, j]
+        for b, up in enumerate(upstream):
+            dw += up.T @ cols[b].reshape(l_out, k * c)
+            dcols = (up @ w_cols).reshape(l_out, k, c)
+            for j in range(k):
+                dx[b, j:j + l_out] += dcols[:, j]
+        self.grad["weights"] += dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
+
+
+def _pairs(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the first and second element of each of the n windows of a
+    window == stride == 2 pool over axis 1."""
+    return a[:, 0:2 * n:2], a[:, 1:2 * n:2]
 
 
 class MaxPool1D(Layer):
     """Max over sliding windows along the time axis; (B,L,C) -> (B,L',C).
 
     Backward routes each upstream value to the first argmax position of its
-    window, so total gradient mass is conserved.
+    window, so total gradient mass is conserved.  The 2x2 pool (window ==
+    stride == 2, both shipped architectures) reads x[:, :2L'] as L' pairs:
+    the output is the larger of each pair, and a training forward keeps the
+    mask "first >= second" in place of an argmax, so ties still go to the
+    first index.  Other windows and strides take the sliding-window path.
     """
 
     def __init__(self, window: int = 2, stride: int = 2):
         self.window = window
         self.stride = stride
-        self._arg = None
+        self._arg = None  # argmax per window, or the 2x2 pool's first-wins mask
         self._in_shape = None
 
     def forward(self, x, training: bool = False):
@@ -199,14 +221,26 @@ class MaxPool1D(Layer):
             raise InputTooShortError(
                 f"sequence length {x.shape[1]} < pool window {self.window}"
             )
+        self._in_shape = x.shape if training else None
+        if self.window == self.stride == 2:
+            first, second = _pairs(x, x.shape[1] // 2)
+            self._arg = first >= second if training else None
+            return np.maximum(first, second)
         windows = sliding_window_view(x, self.window, axis=1)[:, ::self.stride]
         self._arg = windows.argmax(axis=-1) if training else None
-        self._in_shape = x.shape if training else None
         return windows.max(axis=-1)
 
     def backward(self, upstream):
         b, l_out, c = upstream.shape
         dx = np.zeros(self._in_shape)
+        if self.window == self.stride == 2:
+            # u * 1 == u, u * 0 == +-0 and u - u == 0 exactly for finite u, so
+            # this places each upstream value unchanged, as a masked copy
+            # would, at a third of its cost
+            first, second = _pairs(dx, l_out)
+            np.multiply(upstream, self._arg, out=first)
+            np.subtract(upstream, first, out=second)
+            return dx
         bi, ti, ci = np.indices((b, l_out, c))
         np.add.at(dx, (bi, ti * self.stride + self._arg, ci), upstream)
         return dx

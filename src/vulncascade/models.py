@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import LabelMap
-from .errors import IncompatibleSpecError, ShapeMismatchError
+from .errors import IncompatibleSpecError, PipelineError, ShapeMismatchError
 from .layers import (
     Activation,
     BatchNorm1D,
@@ -195,6 +195,7 @@ class Model:
         self.output_width = output_width
         self.forward_calls = 0
         self.eval_samples = 0
+        self._cached_training_forward = False
 
     def forward(self, ids: np.ndarray, training: bool = False) -> np.ndarray:
         ids = np.asarray(ids)
@@ -204,12 +205,18 @@ class Model:
             )
         self.forward_calls += 1
         self.eval_samples += ids.shape[0]
+        self._cached_training_forward = False
         h = ids
         for layer in self.layers:
             h = layer.forward(h, training=training)
+        self._cached_training_forward = training
         return h
 
     def backward(self, upstream: np.ndarray) -> None:
+        if not self._cached_training_forward:
+            raise PipelineError(
+                "backward needs a training forward: the last forward must pass training=True"
+            )
         grad = upstream
         for layer in reversed(self.layers):
             grad = layer.backward(grad)

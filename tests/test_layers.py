@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from vulncascade.errors import (
     BatchTooSmallError,
@@ -22,6 +25,43 @@ from vulncascade.layers import (
 )
 
 from conftest import layer_grad_error
+
+
+# Reference copies of the sliding-window pool, the tensordot/shifted-loop
+# convolution backward and the masked sigmoid; the layers must match them.
+
+def reference_pool_forward(x, window, stride):
+    windows = sliding_window_view(x, window, axis=1)[:, ::stride]
+    return windows.max(axis=-1), windows.argmax(axis=-1)
+
+
+def reference_pool_backward(arg, upstream, in_shape, stride):
+    b, l_out, c = upstream.shape
+    dx = np.zeros(in_shape)
+    bi, ti, ci = np.indices((b, l_out, c))
+    np.add.at(dx, (bi, ti * stride + arg, ci), upstream)
+    return dx
+
+
+def reference_conv_backward(x, weights, upstream):
+    """(dW, dx) of a valid stride-1 convolution."""
+    k = weights.shape[2]
+    l_out = x.shape[1] - k + 1
+    patches = sliding_window_view(x, k, axis=1)
+    dw = np.tensordot(upstream, patches, axes=([0, 1], [0, 1]))
+    dx = np.zeros_like(x)
+    for j in range(k):
+        dx[:, j:j + l_out, :] += upstream @ weights[:, :, j]
+    return dw, dx
+
+
+def reference_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def naive_conv1d(x, weights, bias):
@@ -72,6 +112,36 @@ class TestConv1D:
             x = rng.standard_normal((2, 8, 2))
             assert layer_grad_error(layer, x, seed=i) < 1e-4
 
+    # the four production shapes (C, F, k, L).  dx_exact is False on
+    # stage-2 conv1: OpenBLAS computes the last 4 of the reference GEMM's
+    # 300 columns in an edge kernel that sums in another order
+    PRODUCTION = {
+        "stage1_conv1": (13, 256, 7, 500, True),
+        "stage1_conv2": (256, 128, 7, 247, True),
+        "stage2_conv1": (300, 64, 3, 400, False),
+        "stage2_conv2": (64, 128, 3, 199, True),
+    }
+
+    @pytest.mark.parametrize("shape", list(PRODUCTION))
+    def test_backward_matches_reference(self, shape):
+        c, f, k, length, dx_exact = self.PRODUCTION[shape]
+        rng = np.random.default_rng(c)
+        for b in (2, 3, 4):
+            layer = Conv1D(c, f, k, rng)
+            x = rng.standard_normal((b, length, c))
+            upstream = rng.standard_normal(layer.forward(x, training=True).shape)
+            layer.zero_grad()
+            dx = layer.backward(upstream)
+            want_dw, want_dx = reference_conv_backward(x, layer.weights, upstream)
+            if dx_exact:
+                np.testing.assert_array_equal(dx, want_dx)
+            else:
+                assert np.max(np.abs(dx - want_dx)) <= 1e-12 * np.max(np.abs(want_dx))
+            err = np.max(np.abs(layer.grad["weights"] - want_dw))
+            assert err <= 1e-12 * np.max(np.abs(want_dw))
+            np.testing.assert_array_equal(layer.grad["bias"],
+                                          upstream.sum(axis=(0, 1)))
+
 
 class TestMaxPool:
     def test_forward_values(self):
@@ -108,6 +178,35 @@ class TestMaxPool:
         dx = layer.backward(upstream)
         nz = dx[dx != 0.0]
         assert sorted(nz.tolist()) == sorted(upstream.ravel().tolist())
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (3, 9, 4), (2, 10, 3),
+                                       (4, 7, 5)])
+    def test_pair_view_matches_sliding_window(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        # few distinct values, so many windows tie; the first window always
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+        x[:, 1] = x[:, 0]
+        layer = MaxPool1D(2, 2)
+        want, arg = reference_pool_forward(x, 2, 2)
+        np.testing.assert_array_equal(layer.forward(x), want)
+        np.testing.assert_array_equal(layer.forward(x, training=True), want)
+        # the mask says "first element wins" exactly where argmax is 0
+        np.testing.assert_array_equal(layer._arg, arg == 0)
+        upstream = rng.standard_normal(want.shape)
+        np.testing.assert_array_equal(
+            layer.backward(upstream),
+            reference_pool_backward(arg, upstream, x.shape, 2))
+
+    @pytest.mark.parametrize("window,stride", [(3, 1), (2, 1), (3, 2), (3, 3)])
+    def test_general_windows_match_reference(self, rng, window, stride):
+        x = rng.integers(-2, 3, size=(2, 11, 3)).astype(np.float64)
+        layer = MaxPool1D(window, stride)
+        want, arg = reference_pool_forward(x, window, stride)
+        np.testing.assert_array_equal(layer.forward(x, training=True), want)
+        upstream = rng.standard_normal(want.shape)
+        np.testing.assert_array_equal(
+            layer.backward(upstream),
+            reference_pool_backward(arg, upstream, x.shape, stride))
 
     def test_gradients(self, rng):
         for i in range(3):
@@ -288,6 +387,17 @@ class TestActivation:
         assert np.all(np.isfinite(y))
         assert y[0] < 1e-300 or y[0] >= 0.0
         assert y[1] == pytest.approx(1.0)
+
+    def test_sigmoid_matches_masked_reference(self, rng):
+        special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0,
+                            1000.0, -1000.0])
+        dense = rng.standard_normal((32, 100)) * 20.0
+        for x in (special, dense):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sigmoid(x)
+            want = reference_sigmoid(x)
+            np.testing.assert_array_equal(got, want)
 
     def test_softmax_rows_sum_to_one(self, rng):
         a = Activation("softmax")

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from vulncascade.dataset import LabelMap
-from vulncascade.errors import IncompatibleSpecError, ShapeMismatchError
+from vulncascade.errors import (
+    IncompatibleSpecError,
+    PipelineError,
+    ShapeMismatchError,
+)
 from vulncascade.layers import (
     Activation,
     BatchNorm1D,
@@ -281,6 +285,19 @@ class TestForward:
             assert ("grad" in vars(layer)) == bool(layer.PARAMS)
             assert list(layer.grad) == list(layer.PARAMS)
 
+    def test_backward_after_eval_forward_is_refused(self, rng):
+        model = build_model(tiny_stage1_spec())
+        ids = rng.integers(0, 12, size=(2, 12))
+        model.forward(ids, training=True)
+        out = model.forward(ids)
+        with pytest.raises(PipelineError, match="training forward"):
+            model.backward(np.ones_like(out))
+
+    def test_backward_before_any_forward_is_refused(self):
+        model = build_model(tiny_stage2_spec())
+        with pytest.raises(PipelineError, match="training forward"):
+            model.backward(np.ones((2, 3)))
+
     def test_zero_grad_clears_accumulators(self, rng):
         model = build_model(tiny_stage1_spec())
         out = model.forward(rng.integers(0, 12, size=(2, 12)), training=True)
@@ -410,6 +427,25 @@ def test_eval_forward_holds_one_layer_of_activations():
         tracemalloc.stop()
     assert retained < conv1_output
     assert peak < 3 * conv1_output
+
+
+def test_conv_backward_stays_below_one_batch_patch_matrix():
+    # the weight and input gradients walk the im2col rows one sample at a
+    # time, so the backward never holds the whole batch's patch matrix
+    b, length, c, f, k = 8, 247, 256, 128, 7  # stage-1 conv2
+    rng = np.random.default_rng(0)
+    layer = Conv1D(c, f, k, rng)
+    x = rng.standard_normal((b, length, c))
+    upstream = rng.standard_normal(layer.forward(x, training=True).shape)
+    layer.zero_grad()
+    patch_matrix = b * (length - k + 1) * c * k * 8
+    tracemalloc.start()
+    try:
+        layer.backward(upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < patch_matrix
 
 
 class TestPredictFromSource:
