@@ -74,35 +74,38 @@ def save_archive(archive: EncodedArchive, path: str) -> None:
         fh.write(np.ascontiguousarray(archive.labels, dtype="<u4").tobytes())
 
 
+def take(view: memoryview, offset: int, count: int, what: str) -> tuple[memoryview, int]:
+    """The count bytes at offset, as a view into the file, and the offset
+    after them; shared by the archive and model file readers."""
+    if offset + count > len(view):
+        raise ChecksumMismatchError(f"file truncated while reading {what}")
+    return view[offset:offset + count], offset + count
+
+
 def load_archive(path: str) -> EncodedArchive:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        view = memoryview(fh.read())
 
-    def take(offset: int, count: int, what: str) -> tuple[bytes, int]:
-        if offset + count > len(blob):
-            raise ChecksumMismatchError(f"archive truncated while reading {what}")
-        return blob[offset:offset + count], offset + count
-
-    chunk, off = take(0, 4, "magic")
+    chunk, off = take(view, 0, 4, "magic")
     if chunk != ARCHIVE_MAGIC:
-        raise SpecCorruptError(f"not an encoded archive: bad magic {chunk!r}")
-    chunk, off = take(off, 8, "header")
+        raise SpecCorruptError(f"not an encoded archive: bad magic {bytes(chunk)!r}")
+    chunk, off = take(view, off, 8, "header")
     version, label_kind, max_len = struct.unpack("<HHI", chunk)
     if version != ARCHIVE_VERSION:
         raise VersionMismatchError(version, ARCHIVE_VERSION)
-    chunk, off = take(off, 12, "counts")
+    chunk, off = take(view, off, 12, "counts")
     count, num_classes = struct.unpack("<QI", chunk)
-    chunk, off = take(off, 32, "vocab hash")
+    chunk, off = take(view, off, 32, "vocab hash")
     vocab_hash = chunk.hex()
 
-    chunk, off = take(off, 4 * count * max_len, "ids block")
+    chunk, off = take(view, off, 4 * count * max_len, "ids block")
     ids = np.frombuffer(chunk, dtype="<u4").reshape(count, max_len)
-    chunk, off = take(off, 4 * count, "true_lengths block")
+    chunk, off = take(view, off, 4 * count, "true_lengths block")
     true_lengths = np.frombuffer(chunk, dtype="<u4")
-    chunk, off = take(off, 4 * count, "labels block")
+    chunk, off = take(view, off, 4 * count, "labels block")
     labels = np.frombuffer(chunk, dtype="<u4")
-    if off != len(blob):
-        raise SpecCorruptError(f"{len(blob) - off} trailing bytes after archive")
+    if off != len(view):
+        raise SpecCorruptError(f"{len(view) - off} trailing bytes after archive")
 
     try:
         return EncodedArchive(

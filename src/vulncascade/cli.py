@@ -58,7 +58,7 @@ from .normalizer import (
     tokenize,
 )
 from .serialize import load_model, save_model
-from .smote import SmoteConfig, class_histogram, oversample
+from .smote import SmoteConfig, class_histogram, group_by_class, oversample
 from .training import TrainConfig, train
 from .vocab import Vocabulary, build_vocab, decode, encode, encode_batch
 
@@ -119,13 +119,11 @@ def cmd_preprocess(args) -> int:
     train_set, test_set = split(samples, spec)
     label_map = build_label_map(samples)
 
-    normalized = {
-        id(s): tuple(normalize_source(s.code, preserve=preserve).tokens)
-        for s in samples
-    }
-    vocab = build_vocab(
-        [normalized[id(s)] for s in train_set], min_freq=args.min_freq
-    )
+    subsets = (("train", train_set), ("test", test_set))
+    normalized = {name: [normalize_source(s.code, preserve=preserve)
+                         for s in subset]
+                  for name, subset in subsets}
+    vocab = build_vocab(normalized["train"], min_freq=args.min_freq)
 
     os.makedirs(args.out_dir, exist_ok=True)
     vocab_path = os.path.join(args.out_dir, "vocab.txt")
@@ -135,22 +133,23 @@ def cmd_preprocess(args) -> int:
     vhash = vocab.content_hash()
 
     outputs = [vocab_path, label_path]
-    for name, subset in (("train", train_set), ("test", test_set)):
-        tokens = [normalized[id(s)] for s in subset]
-        ids1, len1 = encode_batch(tokens, vocab, STAGE1_INPUT_LENGTH)
+    for name, subset in subsets:
+        ids1, len1 = encode_batch(normalized[name], vocab, STAGE1_INPUT_LENGTH)
+        labels1 = np.array([s.vulnerable for s in subset], dtype=np.int64)
         arch1 = EncodedArchive(
-            LABEL_BINARY, STAGE1_INPUT_LENGTH, 2, vhash, ids1, len1,
-            np.array([s.vulnerable for s in subset], dtype=np.int64),
-        )
+            LABEL_BINARY, STAGE1_INPUT_LENGTH, 2, vhash, ids1, len1, labels1)
         path1 = os.path.join(args.out_dir, f"stage1_{name}.vcen")
         save_archive(arch1, path1)
 
-        vuln = [s for s in subset if s.vulnerable]
-        ids2, len2 = encode_batch(
-            [normalized[id(s)] for s in vuln], vocab, STAGE2_INPUT_LENGTH)
+        # stage 2 reads the first STAGE2_INPUT_LENGTH ids of the vulnerable
+        # rows, exactly as the cascade hands them over
+        vuln = labels1 == 1
         arch2 = EncodedArchive(
-            LABEL_CLASS, STAGE2_INPUT_LENGTH, len(label_map), vhash, ids2, len2,
-            np.array([label_map.index_of(s.cwe) for s in vuln], dtype=np.int64),
+            LABEL_CLASS, STAGE2_INPUT_LENGTH, len(label_map), vhash,
+            ids1[vuln, :STAGE2_INPUT_LENGTH],
+            np.minimum(len1[vuln], STAGE2_INPUT_LENGTH),
+            np.array([label_map.index_of(s.cwe) for s in subset if s.vulnerable],
+                     dtype=np.int64),
         )
         path2 = os.path.join(args.out_dir, f"stage2_{name}.vcen")
         save_archive(arch2, path2)
@@ -406,9 +405,7 @@ def cmd_scan(args) -> int:
 def cmd_smote_report(args) -> int:
     train_path, _ = _train_paths(args.data, 2)
     arch = load_archive(train_path)
-    by_class = {}
-    for label in np.unique(arch.labels):
-        by_class[int(label)] = arch.ids[arch.labels == label].astype(np.float64)
+    by_class = group_by_class(arch.ids, arch.labels)
     before = class_histogram(by_class)
     vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
     balanced = oversample(by_class, SmoteConfig(k=args.k, seed=args.seed),

@@ -37,10 +37,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the row max for stability."""
     shifted = x - np.max(x, axis=-1, keepdims=True)

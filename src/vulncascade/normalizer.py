@@ -174,17 +174,34 @@ def tokenize(source: str, issues: list[LexIssue] | None = None) -> list[Token]:
 _DROPPED = (TokenKind.COMMENT, TokenKind.PREPROCESSOR)
 
 
+def _balancing(toks: list[Token], opener: str, closer: str) -> dict[int, int]:
+    """Map the index of each opener to that of the closer balancing it,
+    counting this bracket pair alone; unbalanced openers are left out."""
+    match: dict[int, int] = {}
+    open_at: list[int] = []
+    for n, t in enumerate(toks):
+        if t.text == opener:
+            open_at.append(n)
+        elif t.text == closer and open_at:
+            match[open_at.pop()] = n
+    return match
+
+
 def split_functions(tokens: list[Token]) -> list[tuple[str, int, list[Token]]]:
     """Best-effort extraction of top-level function definitions.
 
     Returns (name, line, tokens) triples, where tokens is the definition's
     slice of the input, comments and directives inside it included; an
     empty list means the caller should fall back to the whole token list.
+    A definition is a top-level identifier, then a balanced parameter list,
+    then a balanced body; time is linear in the number of tokens.
     """
     # positions of the tokens that survive normalization; structure is
     # found on those alone
     code = [i for i, t in enumerate(tokens) if t.kind not in _DROPPED]
     toks = [tokens[i] for i in code]
+    parens = _balancing(toks, "(", ")")
+    braces = _balancing(toks, "{", "}")
     functions = []
     i, depth = 0, 0
     decl_start = None  # index in toks of the current declaration's first token
@@ -192,33 +209,15 @@ def split_functions(tokens: list[Token]) -> list[tuple[str, int, list[Token]]]:
         t = toks[i]
         if depth == 0 and decl_start is None:
             decl_start = i
-        if depth == 0 and t.kind is TokenKind.IDENTIFIER and i + 1 < len(toks) \
-                and toks[i + 1].text == "(":
-            j, parens = i + 1, 0
-            while j < len(toks):
-                if toks[j].text == "(":
-                    parens += 1
-                elif toks[j].text == ")":
-                    parens -= 1
-                    if parens == 0:
-                        break
-                j += 1
-            if j + 1 < len(toks) and toks[j + 1].text == "{":
-                k, braces = j + 1, 0
-                while k < len(toks):
-                    if toks[k].text == "{":
-                        braces += 1
-                    elif toks[k].text == "}":
-                        braces -= 1
-                        if braces == 0:
-                            break
-                    k += 1
-                if k < len(toks):
-                    functions.append(
-                        (t.text, t.line, tokens[code[decl_start]:code[k] + 1]))
-                    i = k + 1
-                    decl_start = None
-                    continue
+        if depth == 0 and t.kind is TokenKind.IDENTIFIER:
+            j = parens.get(i + 1)
+            k = None if j is None else braces.get(j + 1)
+            if k is not None:
+                functions.append(
+                    (t.text, t.line, tokens[code[decl_start]:code[k] + 1]))
+                i = k + 1
+                decl_start = None
+                continue
         if t.text == "{":
             depth += 1
         elif t.text == "}":

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .archive import take
 from .dataset import LabelMap
 from .errors import ChecksumMismatchError, SpecCorruptError, VersionMismatchError
 from .models import Model, ModelSpec, _assemble
@@ -75,23 +76,16 @@ def save_model(
         fh.write(digest.digest())
 
 
-def _take(view: memoryview, offset: int, count: int, what: str) -> tuple[memoryview, int]:
-    """The count bytes at offset, as a view into the file, and the offset after them."""
-    if offset + count > len(view):
-        raise ChecksumMismatchError(f"file truncated while reading {what}")
-    return view[offset:offset + count], offset + count
-
-
 def load_model(path: str) -> tuple[Model, ModelHeader]:
     with open(path, "rb") as fh:
         view = memoryview(fh.read())
 
-    chunk, off = _take(view, 0, 4, "magic")
+    chunk, off = take(view, 0, 4, "magic")
     if chunk != MODEL_MAGIC:
         raise SpecCorruptError(f"not a model file: bad magic {bytes(chunk)!r}")
-    chunk, off = _take(view, off, 4, "header length")
+    chunk, off = take(view, off, 4, "header length")
     (header_len,) = struct.unpack("<I", chunk)
-    chunk, off = _take(view, off, header_len, "header")
+    chunk, off = take(view, off, header_len, "header")
     try:
         header_raw = json.loads(str(chunk, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -105,10 +99,10 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
     if version != FORMAT_VERSION:
         raise VersionMismatchError(version, FORMAT_VERSION)
 
-    chunk, off = _take(view, off, 8, "payload length")
+    chunk, off = take(view, off, 8, "payload length")
     (payload_len,) = struct.unpack("<Q", chunk)
-    payload, off = _take(view, off, payload_len, "payload")
-    digest, end = _take(view, off, 32, "checksum")
+    payload, off = take(view, off, payload_len, "payload")
+    digest, end = take(view, off, 32, "checksum")
     if hashlib.sha256(view[:off]).digest() != digest:
         raise ChecksumMismatchError("model file does not match its checksum")
     if end != len(view):
@@ -122,15 +116,15 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
 
     pos = 0
     for name, arr in model.named_tensors():
-        chunk, pos = _take(payload, pos, 1, f"{name} rank")
+        chunk, pos = take(payload, pos, 1, f"{name} rank")
         ndim = chunk[0]
-        chunk, pos = _take(payload, pos, 4 * ndim, f"{name} extents")
+        chunk, pos = take(payload, pos, 4 * ndim, f"{name} extents")
         shape = struct.unpack(f"<{ndim}I", chunk)
         if shape != arr.shape:
             raise SpecCorruptError(
                 f"tensor {name} has shape {shape}, spec implies {arr.shape}"
             )
-        chunk, pos = _take(payload, pos, 8 * arr.size, f"{name} values")
+        chunk, pos = take(payload, pos, 8 * arr.size, f"{name} values")
         arr[...] = np.frombuffer(chunk, "<f8").reshape(shape)
     if pos != len(payload):
         raise SpecCorruptError(f"{len(payload) - pos} trailing payload bytes")

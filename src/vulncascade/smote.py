@@ -66,6 +66,12 @@ def synthesize(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     return a + lam * (b - a)
 
 
+def group_by_class(ids: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
+    """The rows of ids keyed by their label, as float64 points for oversample."""
+    return {int(label): ids[labels == label].astype(np.float64)
+            for label in np.unique(labels)}
+
+
 def oversample(
     by_class: Mapping[int, np.ndarray],
     config: SmoteConfig,

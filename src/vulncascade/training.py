@@ -20,7 +20,7 @@ from .errors import DivergenceError
 from .losses import bce_loss, cce_loss
 from .models import Model, predict_batched
 from .optim import clip_gradients, make_optimizer
-from .smote import SmoteConfig, oversample
+from .smote import SmoteConfig, group_by_class, oversample
 
 
 @dataclass
@@ -80,11 +80,8 @@ def accuracy_of(model: Model, ids: np.ndarray, labels: np.ndarray) -> float:
 def _apply_smote(
     ids: np.ndarray, labels: np.ndarray, config: TrainConfig, vocab_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    by_class: dict[int, np.ndarray] = {}
-    for label in np.unique(labels):
-        by_class[int(label)] = ids[labels == label].astype(np.float64)
     smote_cfg = SmoteConfig(k=config.smote_k, seed=config.seed)
-    balanced = oversample(by_class, smote_cfg, vocab_size)
+    balanced = oversample(group_by_class(ids, labels), smote_cfg, vocab_size)
     out_ids, out_labels = [], []
     for label in sorted(balanced):
         out_ids.append(balanced[label])

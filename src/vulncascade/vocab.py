@@ -100,29 +100,27 @@ def encode(
     sample: NormalizedSample | Sequence[str], vocab: Vocabulary, max_len: int
 ) -> EncodedSample:
     """Map tokens to ids, truncating to the first max_len and right-padding."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    tokens = sample.tokens if isinstance(sample, NormalizedSample) else sample
-    ids = np.zeros(max_len, dtype=np.int32)
-    n = min(len(tokens), max_len)
-    for i in range(n):
-        ids[i] = vocab.id_for(tokens[i])
-    return EncodedSample(ids=ids, true_length=n)
+    ids, lengths = encode_batch([sample], vocab, max_len)
+    return EncodedSample(ids=ids[0], true_length=int(lengths[0]))
 
 
 def encode_batch(
     samples: Iterable[NormalizedSample | Sequence[str]], vocab: Vocabulary, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode many samples into a (N, max_len) id matrix plus true lengths."""
-    rows = []
-    lengths = []
-    for s in samples:
-        enc = encode(s, vocab, max_len)
-        rows.append(enc.ids)
-        lengths.append(enc.true_length)
-    if not rows:
-        return (np.zeros((0, max_len), dtype=np.int32), np.zeros(0, dtype=np.int32))
-    return np.stack(rows), np.asarray(lengths, dtype=np.int32)
+    """Encode many samples into a (N, max_len) int32 id matrix plus true
+    lengths.  Each row holds a sample's first max_len ids, right-padded with
+    PAD_ID; encode is the one-row case."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    rows = [s.tokens if isinstance(s, NormalizedSample) else s for s in samples]
+    ids = np.zeros((len(rows), max_len), dtype=np.int32)
+    lengths = np.zeros(len(rows), dtype=np.int32)
+    lookup = vocab.token_to_id.get
+    for r, tokens in enumerate(rows):
+        n = min(len(tokens), max_len)
+        ids[r, :n] = [lookup(token, UNK_ID) for token in tokens[:n]]
+        lengths[r] = n
+    return ids, lengths
 
 
 def decode(ids: EncodedSample | Sequence[int] | np.ndarray, vocab: Vocabulary) -> list[str]:

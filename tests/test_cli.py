@@ -4,17 +4,21 @@ import importlib.util
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulncascade import cli
 from vulncascade.archive import LABEL_BINARY, LABEL_CLASS, load_archive
 from vulncascade.cli import _reencode_rows, main
-from vulncascade.normalizer import split_functions, tokenize
+from vulncascade.normalizer import TokenKind, split_functions, tokenize
 from vulncascade.serialize import load_model
 from vulncascade.vocab import Vocabulary
+
+from c_snippets import SNIPPETS
 
 CLEAN_BODIES = [
     "int add(int a, int b) { return a + b; }",
@@ -77,7 +81,85 @@ def functions_of(src):
             for name, line, part in split_functions(tokenize(src))]
 
 
+# Reference copy of the nested-scan split_functions; for each name( it
+# rescans to the balancing ) and }, so it is quadratic on unbalanced input.
+# The bracket-table version must return exactly what it returns.
+
+def reference_split_functions(tokens):
+    dropped = (TokenKind.COMMENT, TokenKind.PREPROCESSOR)
+    code = [i for i, t in enumerate(tokens) if t.kind not in dropped]
+    toks = [tokens[i] for i in code]
+    functions = []
+    i, depth = 0, 0
+    decl_start = None
+    while i < len(toks):
+        t = toks[i]
+        if depth == 0 and decl_start is None:
+            decl_start = i
+        if depth == 0 and t.kind is TokenKind.IDENTIFIER and i + 1 < len(toks) \
+                and toks[i + 1].text == "(":
+            j, parens = i + 1, 0
+            while j < len(toks):
+                if toks[j].text == "(":
+                    parens += 1
+                elif toks[j].text == ")":
+                    parens -= 1
+                    if parens == 0:
+                        break
+                j += 1
+            if j + 1 < len(toks) and toks[j + 1].text == "{":
+                k, braces = j + 1, 0
+                while k < len(toks):
+                    if toks[k].text == "{":
+                        braces += 1
+                    elif toks[k].text == "}":
+                        braces -= 1
+                        if braces == 0:
+                            break
+                    k += 1
+                if k < len(toks):
+                    functions.append(
+                        (t.text, t.line, tokens[code[decl_start]:code[k] + 1]))
+                    i = k + 1
+                    decl_start = None
+                    continue
+        if t.text == "{":
+            depth += 1
+        elif t.text == "}":
+            depth = max(0, depth - 1)
+            if depth == 0:
+                decl_start = None
+        elif t.text == ";" and depth == 0:
+            decl_start = None
+        i += 1
+    return functions
+
+
+# single tokens plus a few definition heads, so soups hold whole functions
+SOUP_PIECES = ["f", "g", "x", "int", "if", "(", ")", "{", "}", ";", ",", "=",
+               "/* c ( { */", "// } )\n", "\n#define M(a) {\n", "1", '"("',
+               "'{'", "\n", "int f(int x) {", "g() {", "return x;"]
+
+
 class TestSplitFunctions:
+    @pytest.mark.parametrize("index", range(len(SNIPPETS)))
+    def test_matches_reference_on_snippets(self, index):
+        tokens = tokenize(SNIPPETS[index])
+        assert split_functions(tokens) == reference_split_functions(tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SOUP_PIECES), max_size=80))
+    def test_matches_reference_on_token_soup(self, pieces):
+        tokens = tokenize(" ".join(pieces))
+        assert split_functions(tokens) == reference_split_functions(tokens)
+
+    def test_unclosed_parens_take_linear_time(self):
+        # each a( opens a paren that never closes; the nested-scan split
+        # rescans to the end of input from every one of them
+        start = time.perf_counter()
+        assert split_functions(tokenize("a(" * 10_000)) == []
+        assert time.perf_counter() - start < 2.0
+
     def test_two_functions(self):
         src = ("int add(int a, int b) { return a + b; }\n"
                "int sub(int a, int b) { return a - b; }\n")
@@ -124,6 +206,14 @@ class TestSplitFunctions:
         assert functions_of("int f(int x) { return x;") == []
 
 
+def assert_stage2_is_stage1_prefix(a1, a2):
+    """Stage-2 rows are the vulnerable stage-1 rows cut to 400 ids."""
+    vuln = a1.labels == 1
+    np.testing.assert_array_equal(a2.ids, a1.ids[vuln, :400])
+    np.testing.assert_array_equal(a2.true_lengths,
+                                  np.minimum(a1.true_lengths[vuln], 400))
+
+
 class TestPreprocess:
     def test_artifacts_exist(self, workspace):
         data = workspace["data"]
@@ -144,12 +234,14 @@ class TestPreprocess:
         assert set(np.unique(a1.labels)) <= {0, 1}
         assert a2.count == int(a1.labels.sum())
         assert a2.num_classes == 3
+        assert_stage2_is_stage1_prefix(a1, a2)
 
     def test_test_split_mirrors_train(self, workspace):
         data = workspace["data"]
         a1 = load_archive(str(data / "stage1_test.vcen"))
         a2 = load_archive(str(data / "stage2_test.vcen"))
         assert a2.count == int(a1.labels.sum())
+        assert_stage2_is_stage1_prefix(a1, a2)
 
     def test_stdout_summary(self, workspace, tmp_path, capsys):
         out = tmp_path / "again"

@@ -87,6 +87,8 @@ class TestEncode:
         v = make_vocab(["a"])
         with pytest.raises(ValueError):
             encode(["a"], v, 0)
+        with pytest.raises(ValueError):
+            encode_batch([], v, 0)
 
     def test_batch_shape_and_dtype(self):
         v = make_vocab(["a", "b"])
