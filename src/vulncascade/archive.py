@@ -1,20 +1,26 @@
 """Binary archive of encoded samples, the handoff between preprocess and
-train/evaluate.
+train/evaluate, and the sealed container it shares with model files.
 
-Layout, little-endian throughout:
+A sealed file is, with integers little-endian:
 
-    magic "VCEN" | u16 version | u16 label_kind | u32 max_len
-    u64 sample_count | u32 num_classes | 32-byte vocab content hash
-    ids block:          sample_count * max_len  u32, row-major
-    true_lengths block: sample_count            u32
-    labels block:       sample_count            u32
+    magic | u32 header length | header JSON (utf-8, sorted keys)
+    u64 payload length | payload | sha256(every byte before it), 32 bytes
 
-label_kind 0 holds 0/1 detector labels, label_kind 1 holds class indices
-for the samples that carry a class.
+read_sealed makes every file-level check; the header's format_version is
+read before the digest, so that a file of another version is reported as
+such and not as damaged.
+
+An archive ("VCEN") header holds format_version, label_kind, max_len, count,
+num_classes and vocab_hash.  Its payload is three u32 blocks: ids
+(count * max_len, row-major), true_lengths (count) and labels (count).
+label_kind 0 holds 0/1 detector labels, label_kind 1 holds class indices for
+the samples that carry a class.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
 from dataclasses import dataclass
 
@@ -23,9 +29,10 @@ import numpy as np
 from .errors import ChecksumMismatchError, SpecCorruptError, VersionMismatchError
 
 ARCHIVE_MAGIC = b"VCEN"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 LABEL_BINARY = 0
 LABEL_CLASS = 1
+HEADER_COUNTS = ("label_kind", "max_len", "count", "num_classes")
 
 
 @dataclass
@@ -62,60 +69,87 @@ class EncodedArchive:
         return self.ids.shape[0]
 
 
-def save_archive(archive: EncodedArchive, path: str) -> None:
+def write_sealed(path: str, magic: bytes, header: dict, blocks: list[bytes]) -> None:
+    """Write header and the concatenated blocks as one sealed file."""
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload_len = sum(len(block) for block in blocks)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(ARCHIVE_MAGIC)
-        fh.write(struct.pack("<HHI", ARCHIVE_VERSION, archive.label_kind,
-                             archive.max_len))
-        fh.write(struct.pack("<QI", archive.count, archive.num_classes))
-        fh.write(bytes.fromhex(archive.vocab_hash))
-        fh.write(np.ascontiguousarray(archive.ids, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(archive.true_lengths, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(archive.labels, dtype="<u4").tobytes())
+        for part in (magic, struct.pack("<I", len(header_bytes)), header_bytes,
+                     struct.pack("<Q", payload_len), *blocks):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
 def take(view: memoryview, offset: int, count: int, what: str) -> tuple[memoryview, int]:
-    """The count bytes at offset, as a view into the file, and the offset
-    after them; shared by the archive and model file readers."""
+    """The count bytes at offset, as a view, and the offset after them."""
     if offset + count > len(view):
         raise ChecksumMismatchError(f"file truncated while reading {what}")
     return view[offset:offset + count], offset + count
 
 
-def load_archive(path: str) -> EncodedArchive:
+def read_sealed(path: str, magic: bytes, version: int, kind: str) -> tuple[dict, memoryview]:
+    """The header and payload of a sealed file of this magic and version;
+    kind names the file in errors."""
     with open(path, "rb") as fh:
         view = memoryview(fh.read())
 
-    chunk, off = take(view, 0, 4, "magic")
-    if chunk != ARCHIVE_MAGIC:
-        raise SpecCorruptError(f"not an encoded archive: bad magic {bytes(chunk)!r}")
-    chunk, off = take(view, off, 8, "header")
-    version, label_kind, max_len = struct.unpack("<HHI", chunk)
-    if version != ARCHIVE_VERSION:
-        raise VersionMismatchError(version, ARCHIVE_VERSION)
-    chunk, off = take(view, off, 12, "counts")
-    count, num_classes = struct.unpack("<QI", chunk)
-    chunk, off = take(view, off, 32, "vocab hash")
-    vocab_hash = chunk.hex()
-
-    chunk, off = take(view, off, 4 * count * max_len, "ids block")
-    ids = np.frombuffer(chunk, dtype="<u4").reshape(count, max_len)
-    chunk, off = take(view, off, 4 * count, "true_lengths block")
-    true_lengths = np.frombuffer(chunk, dtype="<u4")
-    chunk, off = take(view, off, 4 * count, "labels block")
-    labels = np.frombuffer(chunk, dtype="<u4")
-    if off != len(view):
-        raise SpecCorruptError(f"{len(view) - off} trailing bytes after archive")
-
+    chunk, off = take(view, 0, len(magic), "magic")
+    if chunk != magic:
+        raise SpecCorruptError(f"{kind} file has bad magic {bytes(chunk)!r}")
+    chunk, off = take(view, off, 4, "header length")
+    (header_len,) = struct.unpack("<I", chunk)
+    chunk, off = take(view, off, header_len, "header")
     try:
-        return EncodedArchive(
-            label_kind=label_kind,
-            max_len=max_len,
-            num_classes=num_classes,
-            vocab_hash=vocab_hash,
-            ids=ids,
-            true_lengths=true_lengths,
-            labels=labels,
-        )
+        header = json.loads(str(chunk, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # also 4300+ digits, deep nesting
+        raise SpecCorruptError(f"unreadable {kind} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SpecCorruptError(f"{kind} header is not a JSON object")
+    if header.get("format_version") != version:
+        raise VersionMismatchError(header.get("format_version"), version, kind)
+
+    chunk, off = take(view, off, 8, "payload length")
+    (payload_len,) = struct.unpack("<Q", chunk)
+    payload, off = take(view, off, payload_len, "payload")
+    digest, end = take(view, off, 32, "checksum")
+    if hashlib.sha256(view[:off]).digest() != digest:
+        raise ChecksumMismatchError(f"{kind} file does not match its checksum")
+    if end != len(view):
+        raise SpecCorruptError(f"{len(view) - end} bytes after the checksum")
+    return header, payload
+
+
+def save_archive(archive: EncodedArchive, path: str) -> None:
+    header = {name: int(getattr(archive, name)) for name in HEADER_COUNTS}
+    header.update(format_version=ARCHIVE_VERSION, vocab_hash=archive.vocab_hash)
+    blocks = [np.ascontiguousarray(arr, dtype="<u4").tobytes()
+              for arr in (archive.ids, archive.true_lengths, archive.labels)]
+    write_sealed(path, ARCHIVE_MAGIC, header, blocks)
+
+
+def load_archive(path: str) -> EncodedArchive:
+    header, payload = read_sealed(path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "archive")
+    fields = {name: header.get(name) for name in HEADER_COUNTS}
+    for name, value in fields.items():
+        if type(value) is not int or value < 0:
+            raise SpecCorruptError(f"archive header {name} is {value!r}")
+    if not isinstance(header.get("vocab_hash"), str):
+        raise SpecCorruptError(f"archive header vocab_hash is {header.get('vocab_hash')!r}")
+    count, max_len = fields.pop("count"), fields["max_len"]
+
+    blocks, off = [], 0
+    for what, size in (("ids", count * max_len), ("true_lengths", count), ("labels", count)):
+        chunk, off = take(payload, off, 4 * size, f"{what} block")
+        blocks.append(np.frombuffer(chunk, dtype="<u4"))
+    if off != len(payload):
+        raise SpecCorruptError(f"{len(payload) - off} trailing payload bytes")
+
+    ids, true_lengths, labels = blocks
+    try:
+        return EncodedArchive(vocab_hash=header["vocab_hash"],
+                              ids=ids.reshape(count, max_len),
+                              true_lengths=true_lengths, labels=labels, **fields)
     except ValueError as exc:
         raise SpecCorruptError(f"corrupt archive: {exc}") from exc

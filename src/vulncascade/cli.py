@@ -324,7 +324,8 @@ def cmd_evaluate(args) -> int:
 def _iter_source_files(paths: list[str]):
     for path in paths:
         if os.path.isdir(path):
-            for root, _, names in os.walk(path):
+            for root, dirs, names in os.walk(path):
+                dirs.sort()
                 for name in sorted(names):
                     if name.endswith(SOURCE_SUFFIXES):
                         yield os.path.join(root, name)

@@ -62,8 +62,8 @@ class DivergenceError(PipelineError):
 
 
 class VersionMismatchError(PipelineError):
-    def __init__(self, found, expected):
-        super().__init__(f"model file format version {found}, this build reads {expected}")
+    def __init__(self, found, expected, kind):
+        super().__init__(f"{kind} file format version {found}, this build reads {expected}")
         self.found = found
         self.expected = expected
 

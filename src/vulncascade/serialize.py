@@ -1,9 +1,4 @@
-"""Model container file: a JSON header followed by raw float64 tensors.
-
-Layout, all integers little-endian:
-
-    magic "VCMD" | u32 header length | header JSON (utf-8)
-    u64 payload length | payload | sha256(every byte before it), 32 bytes
+"""Model file ("VCMD"): a sealed container (see archive) of float64 tensors.
 
 The header carries format_version, stage, the full architecture spec, the
 vocabulary content hash and the label map, so a loaded model can refuse
@@ -15,16 +10,14 @@ model's predictions exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import take
+from .archive import read_sealed, take, write_sealed
 from .dataset import LabelMap
-from .errors import ChecksumMismatchError, SpecCorruptError, VersionMismatchError
+from .errors import SpecCorruptError
 from .models import Model, ModelSpec, _assemble
 
 MODEL_MAGIC = b"VCMD"
@@ -65,49 +58,11 @@ def save_model(
         "vocab_hash": vocab_hash,
         "label_classes": list(label_map.classes) if label_map is not None else None,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = _pack_tensors(model)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in (MODEL_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes,
-                     struct.pack("<Q", len(payload)), payload):
-            digest.update(part)
-            fh.write(part)
-        fh.write(digest.digest())
+    write_sealed(path, MODEL_MAGIC, header, [_pack_tensors(model)])
 
 
 def load_model(path: str) -> tuple[Model, ModelHeader]:
-    with open(path, "rb") as fh:
-        view = memoryview(fh.read())
-
-    chunk, off = take(view, 0, 4, "magic")
-    if chunk != MODEL_MAGIC:
-        raise SpecCorruptError(f"not a model file: bad magic {bytes(chunk)!r}")
-    chunk, off = take(view, off, 4, "header length")
-    (header_len,) = struct.unpack("<I", chunk)
-    chunk, off = take(view, off, header_len, "header")
-    try:
-        header_raw = json.loads(str(chunk, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SpecCorruptError(f"unreadable model header: {exc}") from exc
-    if not isinstance(header_raw, dict):
-        raise SpecCorruptError("model header is not a JSON object")
-
-    # read before the digest, so that a file of another version is reported
-    # as such and not as damaged
-    version = header_raw.get("format_version")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(version, FORMAT_VERSION)
-
-    chunk, off = take(view, off, 8, "payload length")
-    (payload_len,) = struct.unpack("<Q", chunk)
-    payload, off = take(view, off, payload_len, "payload")
-    digest, end = take(view, off, 32, "checksum")
-    if hashlib.sha256(view[:off]).digest() != digest:
-        raise ChecksumMismatchError("model file does not match its checksum")
-    if end != len(view):
-        raise SpecCorruptError(f"{len(view) - end} bytes after the checksum")
-
+    header_raw, payload = read_sealed(path, MODEL_MAGIC, FORMAT_VERSION, "model")
     try:
         spec = ModelSpec.from_dict(header_raw["spec"])
         model = _assemble(spec, rng=None)
@@ -130,7 +85,7 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
         raise SpecCorruptError(f"{len(payload) - pos} trailing payload bytes")
 
     header = ModelHeader(
-        format_version=version,
+        format_version=FORMAT_VERSION,
         stage=header_raw.get("stage", spec.stage),
         spec=spec,
         vocab_hash=header_raw.get("vocab_hash", ""),

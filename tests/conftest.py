@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import struct
 
 # One BLAS thread, set before numpy loads: default threading oversubscribes a
 # small box and slows the suite several-fold when another job shares it.
@@ -37,6 +40,23 @@ def layer_grad_error(layer, x, seed=0, training=True, check_input=True,
         params.append(x)
         grads.append(np.asarray(dx))
     return gradient_check(loss_fn, params, grads, step=step, rng=rng)
+
+
+def reseal(body):
+    """A sealed file body (everything before the digest) with a matching
+    digest, so that a deliberate edit reaches the check behind the digest."""
+    body = bytes(body)
+    return body + hashlib.sha256(body).digest()
+
+
+def edit_header(blob, edit):
+    """The sealed file with its header JSON passed through edit, the old
+    digest kept."""
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + header_len].decode())
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    return blob[:4] + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len:]
 
 
 @pytest.fixture

@@ -499,6 +499,20 @@ class TestScan:
         assert finding["cwe"].startswith("CWE-")
         assert 0.0 < finding["stage1_probability"] < 1.0
 
+    def test_directories_walked_in_sorted_order(self, workspace, tmp_path, capsys):
+        root = tmp_path / "tree"
+        for name in ("zeta", "alpha", "mid", "beta"):
+            (root / name / "inner").mkdir(parents=True)
+            (root / name / "b.c").write_text("int f(void) { return 0; }\n")
+            (root / name / "inner" / "a.c").write_text("int g(void) { return 1; }\n")
+        (root / "top.c").write_text("int h(void) { return 2; }\n")
+        self.scan(workspace, "--json", str(root))
+        units = [f["unit"] for f in json.loads(capsys.readouterr().out)["findings"]]
+        expected = [str(root / "top.c")]
+        for name in ("alpha", "beta", "mid", "zeta"):
+            expected += [str(root / name / "b.c"), str(root / name / "inner" / "a.c")]
+        assert units == expected
+
     def test_unreadable_file_counts_as_error(self, workspace, tmp_path, capsys):
         ghost = tmp_path / "ghost.c"
         code = self.scan(workspace, "--json", str(ghost))

@@ -1,12 +1,12 @@
 """Model container round trips and resistance to damaged files."""
 
 import hashlib
-import json
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import edit_header, reseal
 from vulncascade.dataset import LabelMap
 from vulncascade.errors import (
     ChecksumMismatchError,
@@ -131,22 +131,6 @@ class TestRoundTrip:
 def rewrite(path, blob):
     path.write_bytes(blob)
     return str(path)
-
-
-def reseal(body):
-    """A file body (everything before the digest) with a matching digest, so
-    that a deliberate edit reaches the check behind the digest."""
-    body = bytes(body)
-    return body + hashlib.sha256(body).digest()
-
-
-def edit_header(blob, edit):
-    """The file with its header JSON passed through edit, the old digest kept."""
-    (header_len,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8:8 + header_len].decode())
-    edit(header)
-    new_header = json.dumps(header, sort_keys=True).encode()
-    return blob[:4] + struct.pack("<I", len(new_header)) + new_header + blob[8 + header_len:]
 
 
 class TestDamage:

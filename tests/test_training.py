@@ -228,6 +228,27 @@ class TestMulticlassTraining:
         assert model.eval_samples == 9 + 9
 
 
+class TestLabelChecks:
+    @pytest.mark.parametrize("spec, task, bad", [
+        (binary_spec, binary_task, 5), (binary_spec, binary_task, -1),
+        (multiclass_spec, multiclass_task, -1), (multiclass_spec, multiclass_task, 3),
+    ])
+    @pytest.mark.parametrize("smote", [False, True])
+    def test_label_outside_head_is_rejected(self, spec, task, bad, smote):
+        ids, labels = task()
+        labels[-1] = bad
+        model = build_model(spec(), seed=0)
+        with pytest.raises(ValueError, match="labels must lie"):
+            train(model, ids, labels, TrainConfig(batch_size=3, epochs=1, smote=smote))
+        assert model.eval_samples == 0
+
+    def test_label_count_must_match_rows(self):
+        ids, labels = binary_task()
+        with pytest.raises(ValueError, match="one per row"):
+            train(build_model(binary_spec(), seed=0), ids, labels[:-1],
+                  TrainConfig(batch_size=4, epochs=1))
+
+
 class TestEvaluationHelpers:
     def test_predict_batched_matches_single_pass(self, rng):
         model = build_model(multiclass_spec(), seed=0)
