@@ -89,6 +89,18 @@ def take(view: memoryview, offset: int, count: int, what: str) -> tuple[memoryvi
     return view[offset:offset + count], offset + count
 
 
+def _is_version_1_archive(view: memoryview) -> bool:
+    """Whether view has the version-1 archive layout: magic | u16 version 1
+    | u16 label_kind | u32 max_len | u64 count | u32 num_classes | 32-byte
+    vocab hash | the three u32 blocks, and no checksum.  Read as a sealed
+    file, its version and label_kind make a header length of 1 or 65,537."""
+    if len(view) < 56:
+        return False
+    version, label_kind, max_len, count = struct.unpack_from("<HHIQ", view, 4)
+    return (version == 1 and label_kind in (LABEL_BINARY, LABEL_CLASS)
+            and len(view) == 56 + 4 * count * (max_len + 2))
+
+
 def read_sealed(path: str, magic: bytes, version: int, kind: str) -> tuple[dict, memoryview]:
     """The header and payload of a sealed file of this magic and version;
     kind names the file in errors."""
@@ -98,6 +110,8 @@ def read_sealed(path: str, magic: bytes, version: int, kind: str) -> tuple[dict,
     chunk, off = take(view, 0, len(magic), "magic")
     if chunk != magic:
         raise SpecCorruptError(f"{kind} file has bad magic {bytes(chunk)!r}")
+    if magic == ARCHIVE_MAGIC and _is_version_1_archive(view):
+        raise VersionMismatchError(1, version, kind)
     chunk, off = take(view, off, 4, "header length")
     (header_len,) = struct.unpack("<I", chunk)
     chunk, off = take(view, off, header_len, "header")

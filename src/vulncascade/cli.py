@@ -290,14 +290,18 @@ def cmd_evaluate(args) -> int:
         print(scores1.format_table(["non-vuln", "vuln"]))
 
     if args.stage2:
-        probs2 = predict_batched(stage2, arch2.ids)
-        class_preds = np.argmax(probs2, axis=1)
-        matrix2 = confusion(class_preds, arch2.labels, len(label_map))
-        scores2 = scores(matrix2)
-        report["stage2"] = scores2.as_dict()
-        if not args.json:
-            print("\nstage 2 (class classifier, vulnerable test samples)")
-            print(scores2.format_table(list(label_map.classes)))
+        # a split can leave no vulnerable test rows; stage 2 then has no
+        # scores, but the cascade is still reported
+        report["stage2"] = None
+        if arch2.count:
+            class_preds = np.argmax(predict_batched(stage2, arch2.ids), axis=1)
+            scores2 = scores(confusion(class_preds, arch2.labels, len(label_map)))
+            report["stage2"] = scores2.as_dict()
+            if not args.json:
+                print("\nstage 2 (class classifier, vulnerable test samples)")
+                print(scores2.format_table(list(label_map.classes)))
+        elif not args.json:
+            print("\nstage 2: no vulnerable test samples")
 
         cascade_pred = np.array([
             -1 if p.class_distribution is None

@@ -60,10 +60,6 @@ class LabelMap:
         if len(self.cwe_to_index) != len(self.classes):
             raise ValueError("duplicate CWE in label map")
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
     def __len__(self) -> int:
         return len(self.classes)
 

@@ -125,11 +125,11 @@ class Embedding(Layer):
 class Conv1D(Layer):
     """Valid (no padding), stride-1 temporal convolution: (B,L,C) -> (B,L-k+1,F).
 
-    Weights are stored (F, C, k).  The forward contracts each sample's
-    sliding windows with them.  The backward reads each sample as im2col
-    rows in (k, C) order, row t being x[b, t:t + k] flattened, so it is k*C
-    contiguous inputs: dW is one (F, k*C) GEMM per sample, and dx is one
-    (L', F) @ (F, k*C) GEMM per sample added back into k shifted slices.
+    Weights are stored (F, C, k).  Both directions read each sample as
+    im2col rows in (k, C) order, a view of x: row t is x[b, t:t + k]
+    flattened.  Against the weights as one (F, k*C) matrix, the forward and
+    dW are one GEMM per sample each, and dx is one (L', F) @ (F, k*C) GEMM
+    per sample added back into k shifted slices.
     """
 
     PARAMS = ("weights", "bias")
@@ -146,8 +146,16 @@ class Conv1D(Layer):
         self.bias = np.zeros(filters)
         self._x = None
 
+    def _im2col(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, L', k*C) im2col rows of a C-contiguous x and (F, k*C) weights."""
+        k, c = self.kernel_size, self.in_channels
+        windows = sliding_window_view(x, k, axis=1).transpose(0, 1, 3, 2)
+        cols = windows.reshape(x.shape[0], -1, k * c)
+        w_cols = self.weights.transpose(0, 2, 1).reshape(self.filters, k * c)
+        return cols, w_cols
+
     def forward(self, x, training: bool = False):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeMismatchError(
                 f"conv1d expects (B, L, {self.in_channels}), got {x.shape}"
@@ -157,12 +165,10 @@ class Conv1D(Layer):
                 f"sequence length {x.shape[1]} < kernel size {self.kernel_size}"
             )
         self._x = x if training else None
-        # patches[b, t, c, j] = x[b, t + j, c], contracted one sample at a
-        # time so that the patch copy tensordot makes stays one sample large
-        patches = sliding_window_view(x, self.kernel_size, axis=1)
-        out = np.empty((x.shape[0], patches.shape[1], self.filters))
-        for i, sample in enumerate(patches):
-            out[i] = np.tensordot(sample, self.weights, axes=([1, 2], [1, 2]))
+        cols, w_cols = self._im2col(x)
+        out = np.empty(cols.shape[:2] + (self.filters,))
+        for b, sample in enumerate(cols):
+            np.matmul(sample, w_cols.T, out=out[b])
         out += self.bias
         return out
 
@@ -171,14 +177,11 @@ class Conv1D(Layer):
         k, c, f = self.kernel_size, self.in_channels, self.filters
         l_out = upstream.shape[1]
         self.grad["bias"] += upstream.sum(axis=(0, 1))
-        # cols[b, t] = x[b, t:t + k] as a (k, C) view; one sample at a time,
-        # so no whole-batch patch copy is ever made
-        cols = sliding_window_view(x, k, axis=1).transpose(0, 1, 3, 2)
-        w_cols = self.weights.transpose(0, 2, 1).reshape(f, k * c)
+        cols, w_cols = self._im2col(x)
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
         for b, up in enumerate(upstream):
-            dw += up.T @ cols[b].reshape(l_out, k * c)
+            dw += up.T @ cols[b]
             dcols = (up @ w_cols).reshape(l_out, k, c)
             for j in range(k):
                 dx[b, j:j + l_out] += dcols[:, j]
@@ -428,48 +431,43 @@ class Flatten(Layer):
         return upstream.reshape(self._shape)
 
 
-ACTIVATION_KINDS = ("relu", "tanh", "sigmoid", "softmax", "scaled_tanh")
+def _softmax_backward(upstream, y):
+    # jacobian-vector product, rows independent
+    inner = np.sum(upstream * y, axis=-1, keepdims=True)
+    return y * (upstream - inner)
+
+
+# kind -> (forward, backward from upstream and the forward's output y);
+# relu's mask y > 0 equals x > 0 for every x, NaN and signed zeros included
+_ACTIVATIONS = {
+    "relu": (relu, lambda upstream, y: upstream * (y > 0)),
+    "tanh": (np.tanh, lambda upstream, y: upstream * (1.0 - y * y)),
+    "sigmoid": (sigmoid, lambda upstream, y: upstream * y * (1.0 - y)),
+    "softmax": (softmax, _softmax_backward),
+    "scaled_tanh": (lambda x: (np.tanh(x) + 1.0) / 2.0,
+                    lambda upstream, y: upstream * 2.0 * y * (1.0 - y)),
+}
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
 class Activation(Layer):
     """Elementwise nonlinearity; softmax acts over the last axis.
 
     scaled_tanh is (tanh(x) + 1) / 2, a tanh unit remapped onto (0, 1).
+    Every derivative is written from the output, so a training forward
+    caches the output alone and the input is freed once the caller drops it.
     """
 
     def __init__(self, kind: str):
-        if kind not in ACTIVATION_KINDS:
+        if kind not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
         self.kind = kind
-        self._x = None
         self._y = None
 
     def forward(self, x, training: bool = False):
-        x = np.asarray(x, dtype=np.float64)
-        self._x = x if training else None
-        if self.kind == "relu":
-            y = relu(x)
-        elif self.kind == "tanh":
-            y = np.tanh(x)
-        elif self.kind == "sigmoid":
-            y = sigmoid(x)
-        elif self.kind == "scaled_tanh":
-            y = (np.tanh(x) + 1.0) / 2.0
-        else:
-            y = softmax(x)
+        y = _ACTIVATIONS[self.kind][0](np.asarray(x, dtype=np.float64))
         self._y = y if training else None
         return y
 
     def backward(self, upstream):
-        y = self._y
-        if self.kind == "relu":
-            return upstream * (self._x > 0)
-        if self.kind == "tanh":
-            return upstream * (1.0 - y * y)
-        if self.kind == "sigmoid":
-            return upstream * y * (1.0 - y)
-        if self.kind == "scaled_tanh":
-            return upstream * 2.0 * y * (1.0 - y)
-        # softmax jacobian-vector product, rows independent
-        inner = np.sum(upstream * y, axis=-1, keepdims=True)
-        return y * (upstream - inner)
+        return _ACTIVATIONS[self.kind][1](upstream, self._y)

@@ -51,6 +51,9 @@ def save_model(
     vocab_hash: str,
     label_map: LabelMap | None = None,
 ) -> None:
+    if label_map is not None and len(label_map) != model.output_width:
+        raise ValueError(f"label map of {len(label_map)} classes for a model "
+                         f"of {model.output_width} outputs")
     header = {
         "format_version": FORMAT_VERSION,
         "stage": model.spec.stage,
@@ -68,6 +71,22 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
         model = _assemble(spec, rng=None)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecCorruptError(f"model header spec is malformed: {exc}") from exc
+    for name in ("stage", "vocab_hash", "label_classes"):
+        if name not in header_raw:
+            raise SpecCorruptError(f"model header has no {name}")
+    stage = header_raw["stage"]
+    if type(stage) is not int or stage != spec.stage:
+        raise SpecCorruptError(f"model header stage {stage!r}, its spec says {spec.stage}")
+    vocab_hash = header_raw["vocab_hash"]
+    if not isinstance(vocab_hash, str) or len(vocab_hash) != 64:
+        raise SpecCorruptError(f"model header vocab_hash is {vocab_hash!r}")
+    classes = header_raw["label_classes"]
+    if classes is not None and not (
+            isinstance(classes, list) and len(classes) == model.output_width
+            and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == len(classes)):
+        raise SpecCorruptError(f"model header label_classes {classes!r} do not "
+                               f"name the model's {model.output_width} outputs")
 
     pos = 0
     for name, arr in model.named_tensors():
@@ -84,11 +103,6 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
     if pos != len(payload):
         raise SpecCorruptError(f"{len(payload) - pos} trailing payload bytes")
 
-    header = ModelHeader(
-        format_version=FORMAT_VERSION,
-        stage=header_raw.get("stage", spec.stage),
-        spec=spec,
-        vocab_hash=header_raw.get("vocab_hash", ""),
-        label_classes=header_raw.get("label_classes"),
-    )
+    header = ModelHeader(format_version=FORMAT_VERSION, stage=stage, spec=spec,
+                         vocab_hash=vocab_hash, label_classes=classes)
     return model, header

@@ -51,9 +51,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     # one token per line; the line number is the id
     def to_text(self) -> str:
         return "\n".join(self.id_to_token) + "\n"

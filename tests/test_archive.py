@@ -185,15 +185,20 @@ class TestDamage:
         assert (info.value.found, info.value.expected) == (9, ARCHIVE_VERSION)
 
     def test_version_1_struct_layout_is_rejected(self, path):
-        arch = sample_archive()
-        v1 = (ARCHIVE_MAGIC + struct.pack("<HHI", 1, arch.label_kind, arch.max_len)
-              + struct.pack("<QI", arch.count, arch.num_classes)
-              + bytes.fromhex(arch.vocab_hash)
-              + b"".join(np.ascontiguousarray(a, dtype="<u4").tobytes()
-                         for a in (arch.ids, arch.true_lengths, arch.labels)))
-        path.write_bytes(v1)
-        with pytest.raises(PipelineError):
-            load_archive(str(path))
+        # v1: magic | u16 version | u16 label_kind | u32 max_len | u64 count
+        # | u32 num_classes | 32-byte vocab hash | u32 blocks, no checksum
+        for kind in (LABEL_BINARY, LABEL_CLASS):
+            arch = sample_archive(kind=kind)
+            v1 = (ARCHIVE_MAGIC + struct.pack("<HHI", 1, arch.label_kind, arch.max_len)
+                  + struct.pack("<QI", arch.count, arch.num_classes)
+                  + bytes.fromhex(arch.vocab_hash)
+                  + b"".join(np.ascontiguousarray(a, dtype="<u4").tobytes()
+                             for a in (arch.ids, arch.true_lengths, arch.labels)))
+            path.write_bytes(v1)
+            with pytest.raises(VersionMismatchError,
+                               match="archive file format version 1, this build reads 2") as info:
+                load_archive(str(path))
+            assert (info.value.found, info.value.expected) == (1, ARCHIVE_VERSION)
 
     @pytest.mark.parametrize("keep", [0, 2, 10, 20, 55])
     def test_truncation(self, path, keep):

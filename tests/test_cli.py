@@ -432,6 +432,40 @@ class TestEvaluate:
             expected = cascade["samples"] if expect_all else 0
             assert cascade["stage2_evaluated"] == expected
 
+    def test_no_vulnerable_test_rows(self, tmp_path, capsys):
+        # one sample per CWE: the stratified split puts each into train, so
+        # the stage-2 test archive is empty
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for i, body in enumerate(CLEAN_BODIES):
+                fh.write(json.dumps(
+                    {"code": body, "vulnerable": 0, "id": f"clean-{i}"}) + "\n")
+            for cwe, (tmpl, _) in VULN_TEMPLATES.items():
+                fh.write(json.dumps({"code": tmpl.format(i=0), "vulnerable": 1,
+                                     "cwe": cwe, "id": cwe}) + "\n")
+        data, s1, s2 = tmp_path / "data", tmp_path / "s1.vcmd", tmp_path / "s2.vcmd"
+        assert main(["preprocess", "--corpus", str(corpus), "--out-dir", str(data)]) == 0
+        for stage, out in (("1", s1), ("2", s2)):
+            assert main(["train", "--stage", stage, "--data", str(data),
+                         "--out", str(out), "--epochs", "1"]) == 0
+        assert load_archive(str(data / "stage2_test.vcen")).count == 0
+        capsys.readouterr()
+
+        evaluate = ["evaluate", "--stage1", str(s1), "--stage2", str(s2),
+                    "--data", str(data)]
+        assert main(evaluate) == 0
+        text = capsys.readouterr().out
+        assert "stage 1 (binary detector)" in text
+        assert "stage 2: no vulnerable test samples" in text
+        assert "stage 2 (class classifier" not in text
+        assert "cascade: stage-2 evaluated on " in text
+
+        assert main(evaluate + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["stage2"] is None
+        assert report["cascade"]["samples"] == load_archive(
+            str(data / "stage1_test.vcen")).count
+
     def test_missing_model_is_usage_error(self, workspace, tmp_path, capsys):
         assert main(["evaluate", "--stage1", str(tmp_path / "ghost.vcmd"),
                      "--data", str(workspace["data"])]) == 2

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,8 +28,9 @@ from vulncascade.layers import (
 from conftest import layer_grad_error
 
 
-# Reference copies of the sliding-window pool, the tensordot/shifted-loop
-# convolution backward and the masked sigmoid; the layers must match them.
+# Reference copies of the sliding-window pool, the tensordot convolution
+# forward, the tensordot/shifted-loop convolution backward and the masked
+# sigmoid; the layers must match them.
 
 def reference_pool_forward(x, window, stride):
     windows = sliding_window_view(x, window, axis=1)[:, ::stride]
@@ -41,6 +43,16 @@ def reference_pool_backward(arg, upstream, in_shape, stride):
     bi, ti, ci = np.indices((b, l_out, c))
     np.add.at(dx, (bi, ti * stride + arg, ci), upstream)
     return dx
+
+
+def reference_conv_forward(x, weights, bias):
+    """A valid stride-1 convolution contracting (C, k) patches with the
+    (F, C, k) weights."""
+    patches = sliding_window_view(x, weights.shape[2], axis=1)
+    out = np.empty((x.shape[0], patches.shape[1], weights.shape[0]))
+    for i, sample in enumerate(patches):
+        out[i] = np.tensordot(sample, weights, axes=([1, 2], [1, 2]))
+    return out + bias
 
 
 def reference_conv_backward(x, weights, upstream):
@@ -121,6 +133,20 @@ class TestConv1D:
         "stage2_conv1": (300, 64, 3, 400, False),
         "stage2_conv2": (64, 128, 3, 199, True),
     }
+
+    @pytest.mark.parametrize("shape", list(PRODUCTION))
+    def test_forward_matches_reference(self, shape):
+        c, f, k, length, _ = self.PRODUCTION[shape]
+        rng = np.random.default_rng(c)
+        for b in (2, 3, 4):
+            layer = Conv1D(c, f, k, rng)
+            layer.bias[:] = rng.standard_normal(f)
+            x = rng.standard_normal((b, length, c))
+            want = reference_conv_forward(x, layer.weights, layer.bias)
+            # relative to the output's scale: sums that cancel to near zero
+            # differ by a few ulps of their terms, not of their result
+            err = np.max(np.abs(layer.forward(x) - want))
+            assert err <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("shape", list(PRODUCTION))
     def test_backward_matches_reference(self, shape):
@@ -415,6 +441,24 @@ class TestActivation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Activation("gelu")
+
+    def test_training_forward_keeps_only_the_output(self):
+        # relu's mask is read from its output, so once the caller drops the
+        # input the layer holds one input-sized array, not two
+        a = Activation("relu")
+        draw = lambda: np.random.default_rng(3).standard_normal((8, 494, 256))
+        tracemalloc.start()
+        try:
+            x = draw()
+            nbytes = x.nbytes
+            y = a.forward(x, training=True)
+            del x, y
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nbytes <= kept < 1.5 * nbytes
+        x = draw()
+        np.testing.assert_array_equal(a.backward(np.ones_like(x)), x > 0)
 
     @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "softmax",
                                       "scaled_tanh"])

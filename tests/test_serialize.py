@@ -273,3 +273,49 @@ class TestDamage:
 
     def test_magic_constant(self):
         assert MODEL_MAGIC == b"VCMD"
+
+
+class TestHeaderFields:
+    """Header fields that disagree with the model are refused: at save time
+    with ValueError, at load time (behind a matching digest) with
+    SpecCorruptError."""
+
+    def test_save_rejects_label_map_of_other_width(self, tmp_path, trained_model):
+        with pytest.raises(ValueError, match="label map of 1 classes"):
+            save_model(trained_model, str(tmp_path / "m.vcmd"), VOCAB_HASH,
+                       label_map=LabelMap(["CWE-121"]))
+        assert not (tmp_path / "m.vcmd").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("label_classes", ["CWE-121"]),
+        ("label_classes", ["CWE-121", "CWE-787", "CWE-20", "CWE-416", "CWE-1"]),
+        ("label_classes", ["CWE-121", "CWE-121", "CWE-20", "CWE-416"]),
+        ("label_classes", ["CWE-121", "CWE-787", "CWE-20", 416]),
+        ("label_classes", []),
+        ("label_classes", "CWE-121"),
+        ("vocab_hash", "ab" * 31),
+        ("vocab_hash", None),
+        ("vocab_hash", 7),
+        ("stage", 1),
+        ("stage", "2"),
+        ("stage", True),
+        ("stage", None),
+    ])
+    def test_load_rejects_bad_field(self, saved, field, value):
+        path, _, _ = saved
+        out = edit_header(path.read_bytes(), lambda h: h.update({field: value}))
+        with pytest.raises(SpecCorruptError, match=field):
+            load_model(rewrite(path, reseal(out[:-32])))
+
+    @pytest.mark.parametrize("field", ["label_classes", "vocab_hash", "stage"])
+    def test_load_rejects_missing_field(self, saved, field):
+        path, _, _ = saved
+        out = edit_header(path.read_bytes(), lambda h: h.pop(field))
+        with pytest.raises(SpecCorruptError, match=field):
+            load_model(rewrite(path, reseal(out[:-32])))
+
+    def test_null_label_classes_load(self, saved):
+        path, _, _ = saved
+        out = edit_header(path.read_bytes(), lambda h: h.update(label_classes=None))
+        _, header = load_model(rewrite(path, reseal(out[:-32])))
+        assert header.label_map() is None
