@@ -65,8 +65,8 @@ from .vocab import Vocabulary, build_vocab, decode, encode, encode_batch
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".h")
 
 STAGE_DEFAULTS = {
-    1: {"optimizer": "adam", "batch_size": 64, "epochs": 10, "learning_rate": 0.005},
-    2: {"optimizer": "adam", "batch_size": 32, "epochs": 50, "learning_rate": 0.001},
+    1: {"batch_size": 64, "epochs": 10, "learning_rate": 0.005},
+    2: {"batch_size": 32, "epochs": 50, "learning_rate": 0.001},
 }
 
 
@@ -193,13 +193,11 @@ def cmd_train(args) -> int:
         return defaults[name] if value is None else value
 
     config = TrainConfig(
-        optimizer=flag("optimizer"),
         batch_size=flag("batch_size"),
         epochs=flag("epochs"),
         learning_rate=flag("learning_rate"),
         seed=args.seed,
         smote=args.smote if args.smote is not None else args.stage == 2,
-        clip_norm=5.0 if args.clip else None,
     )
 
     train_path, _ = _train_paths(args.data, args.stage)
@@ -209,11 +207,10 @@ def cmd_train(args) -> int:
 
     label_map = None
     if args.stage == 1:
-        spec = stage1_spec(vocab.size,
-                           final_activation=args.stage1_head)
+        spec = stage1_spec(vocab.size)
     else:
         label_map = LabelMap.load(os.path.join(args.data, "label_map.json"))
-        spec = stage2_spec(vocab.size, len(label_map), head=args.stage2_head)
+        spec = stage2_spec(vocab.size, len(label_map))
     if arch.max_len != spec.input_length:
         raise CliError(
             f"archive length {arch.max_len} does not match the stage "
@@ -238,6 +235,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_stage(path: str, stage: int):
+    """load_model, refusing a file that holds the other stage's model."""
+    model, header = load_model(path)
+    if header.stage != stage:
+        raise CliError(f"--stage{stage} {path} holds a stage-{header.stage} model, "
+                       f"not a stage-{stage} one")
+    return model, header
+
+
 def _check_hash(ours: str, theirs: str) -> None:
     if ours != theirs:
         raise VocabHashMismatchError(ours, theirs)
@@ -253,13 +259,13 @@ def _reencode_rows(rows: np.ndarray, vocab: Vocabulary, max_len: int) -> np.ndar
 
 
 def cmd_evaluate(args) -> int:
-    stage1, header1 = load_model(args.stage1)
+    stage1, header1 = _load_stage(args.stage1, 1)
     _, test1_path = _train_paths(args.data, 1)
     arch1 = load_archive(test1_path)
     _check_hash(header1.vocab_hash, arch1.vocab_hash)
 
     if args.stage2:
-        stage2, header2 = load_model(args.stage2)
+        stage2, header2 = _load_stage(args.stage2, 2)
         _check_hash(header2.vocab_hash, arch1.vocab_hash)
         label_map = header2.label_map()
         if label_map is None:
@@ -349,8 +355,8 @@ def _format_finding(label: str, pred, label_map) -> str:
 
 
 def cmd_scan(args) -> int:
-    stage1, header1 = load_model(args.stage1)
-    stage2, header2 = load_model(args.stage2)
+    stage1, header1 = _load_stage(args.stage1, 1)
+    stage2, header2 = _load_stage(args.stage2, 2)
     _check_hash(header1.vocab_hash, header2.vocab_hash)
     vocab = Vocabulary.load(args.vocab)
     _check_hash(vocab.content_hash(), header1.vocab_hash)
@@ -449,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--optimizer",
-                   choices=("sgd", "adam", "rmsprop", "adagrad"))
     p.add_argument("--batch-size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -459,12 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="balance stage-2 classes before training"
                         " (default: on for stage 2)")
-    p.add_argument("--clip", action="store_true",
-                   help="clip gradients to global norm 5.0")
-    p.add_argument("--stage1-head", choices=("sigmoid", "scaled_tanh"),
-                   default="sigmoid")
-    p.add_argument("--stage2-head", choices=("softmax", "sigmoid"),
-                   default="softmax")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score saved models on the test split")

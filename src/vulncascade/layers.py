@@ -1,7 +1,8 @@
 """Layer forward/backward math for the two network architectures.
 
 Everything runs on float64 numpy arrays.  In training mode each layer caches
-what its backward pass needs, accumulates parameter gradients in-place, and
+what its backward pass needs.  Backward drops the cached arrays as it reads
+them (a shape tuple may stay), accumulates parameter gradients in-place, and
 returns the gradient with respect to its input, so a network is just an
 ordered list of layers.  An eval-mode forward caches nothing, so inference
 holds one layer's activations at a time; backward needs a training forward.
@@ -117,7 +118,8 @@ class Embedding(Layer):
 
     def backward(self, upstream):
         # repeated ids accumulate; there is no gradient for the ids themselves
-        np.add.at(self.grad["table"], self._ids.ravel(),
+        ids, self._ids = self._ids, None
+        np.add.at(self.grad["table"], ids.ravel(),
                   upstream.reshape(-1, self.dim))
         return None
 
@@ -173,7 +175,7 @@ class Conv1D(Layer):
         return out
 
     def backward(self, upstream):
-        x = self._x
+        x, self._x = self._x, None
         k, c, f = self.kernel_size, self.in_channels, self.filters
         l_out = upstream.shape[1]
         self.grad["bias"] += upstream.sum(axis=(0, 1))
@@ -231,17 +233,18 @@ class MaxPool1D(Layer):
 
     def backward(self, upstream):
         b, l_out, c = upstream.shape
+        arg, self._arg = self._arg, None
         dx = np.zeros(self._in_shape)
         if self.window == self.stride == 2:
             # u * 1 == u, u * 0 == +-0 and u - u == 0 exactly for finite u, so
             # this places each upstream value unchanged, as a masked copy
             # would, at a third of its cost
             first, second = _pairs(dx, l_out)
-            np.multiply(upstream, self._arg, out=first)
+            np.multiply(upstream, arg, out=first)
             np.subtract(upstream, first, out=second)
             return dx
         bi, ti, ci = np.indices((b, l_out, c))
-        np.add.at(dx, (bi, ti * self.stride + self._arg, ci), upstream)
+        np.add.at(dx, (bi, ti * self.stride + arg, ci), upstream)
         return dx
 
 
@@ -296,7 +299,7 @@ class LSTM(Layer):
         return outputs if self.return_sequences else outputs[:, -1]
 
     def backward(self, upstream):
-        steps, (b, length, _) = self._cache
+        (steps, (b, length, _)), self._cache = self._cache, None
         h_dim = self.units
         dx = np.zeros((b, length, self.input_dim))
         dh_next = np.zeros((b, h_dim))
@@ -380,7 +383,7 @@ class BatchNorm1D(Layer):
         return (self.gamma * xhat + self.beta).reshape(shape)
 
     def backward(self, upstream):
-        xhat, inv_std, shape = self._cache
+        (xhat, inv_std, shape), self._cache = self._cache, None
         dy = upstream.reshape(-1, self.features)
         self.grad["gamma"] += (dy * xhat).sum(axis=0)
         self.grad["beta"] += dy.sum(axis=0)
@@ -414,7 +417,8 @@ class Dense(Layer):
         return x @ self.weights.T + self.bias
 
     def backward(self, upstream):
-        self.grad["weights"] += upstream.T @ self._x
+        x, self._x = self._x, None
+        self.grad["weights"] += upstream.T @ x
         self.grad["bias"] += upstream.sum(axis=0)
         return upstream @ self.weights
 
@@ -444,8 +448,6 @@ _ACTIVATIONS = {
     "tanh": (np.tanh, lambda upstream, y: upstream * (1.0 - y * y)),
     "sigmoid": (sigmoid, lambda upstream, y: upstream * y * (1.0 - y)),
     "softmax": (softmax, _softmax_backward),
-    "scaled_tanh": (lambda x: (np.tanh(x) + 1.0) / 2.0,
-                    lambda upstream, y: upstream * 2.0 * y * (1.0 - y)),
 }
 ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
@@ -453,7 +455,6 @@ ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 class Activation(Layer):
     """Elementwise nonlinearity; softmax acts over the last axis.
 
-    scaled_tanh is (tanh(x) + 1) / 2, a tanh unit remapped onto (0, 1).
     Every derivative is written from the output, so a training forward
     caches the output alone and the input is freed once the caller drops it.
     """
@@ -470,4 +471,5 @@ class Activation(Layer):
         return y
 
     def backward(self, upstream):
-        return _ACTIVATIONS[self.kind][1](upstream, self._y)
+        y, self._y = self._y, None
+        return _ACTIVATIONS[self.kind][1](upstream, y)

@@ -94,6 +94,13 @@ _SPEC_TYPES = {
 }
 _TYPE_NAMES = {cls: name for name, cls in _SPEC_TYPES.items()}
 
+# the layers each stage's spec ends in: a one-unit sigmoid detector and a
+# softmax over the classes
+STAGE_HEADS = {
+    1: (DenseSpec(1), ActivationSpec("sigmoid")),
+    2: (ActivationSpec("softmax"),),
+}
+
 
 @dataclass
 class ModelSpec:
@@ -137,12 +144,9 @@ def stage1_spec(
     vocab_size: int,
     input_length: int = STAGE1_INPUT_LENGTH,
     embedding_dim: int = STAGE1_EMBEDDING_DIM,
-    final_activation: str = "sigmoid",
 ) -> ModelSpec:
-    """Binary detector; final_activation may be 'scaled_tanh' for a tanh
-    output unit remapped onto (0, 1)."""
-    if final_activation not in ("sigmoid", "scaled_tanh"):
-        raise ValueError("stage-1 head must be 'sigmoid' or 'scaled_tanh'")
+    """Binary detector: a CNN whose one sigmoid output is the probability
+    that the sample is vulnerable."""
     return ModelSpec(
         stage=1,
         vocab_size=vocab_size,
@@ -154,7 +158,7 @@ def stage1_spec(
             FlattenSpec(),
             DenseSpec(64), ActivationSpec("relu"),
             DenseSpec(16), ActivationSpec("relu"),
-            DenseSpec(1), ActivationSpec(final_activation),
+            *STAGE_HEADS[1],
         ),
     )
 
@@ -164,12 +168,9 @@ def stage2_spec(
     num_classes: int,
     input_length: int = STAGE2_INPUT_LENGTH,
     embedding_dim: int = STAGE2_EMBEDDING_DIM,
-    head: str = "softmax",
 ) -> ModelSpec:
-    """Multiclass classifier; head may be 'sigmoid' for independent per-class
-    probabilities instead of a softmax distribution."""
-    if head not in ("softmax", "sigmoid"):
-        raise ValueError("stage-2 head must be 'softmax' or 'sigmoid'")
+    """Multiclass classifier: a CNN-LSTM whose softmax output is a
+    distribution over the num_classes weakness classes."""
     return ModelSpec(
         stage=2,
         vocab_size=vocab_size,
@@ -181,7 +182,7 @@ def stage2_spec(
             LSTMSpec(100, return_sequences=True),
             LSTMSpec(10, return_sequences=False),
             DenseSpec(100), ActivationSpec("relu"),
-            DenseSpec(num_classes), ActivationSpec(head),
+            DenseSpec(num_classes), *STAGE_HEADS[2],
         ),
     )
 
@@ -217,6 +218,9 @@ class Model:
             raise PipelineError(
                 "backward needs a training forward: the last forward must pass training=True"
             )
+        # each layer drops its cache as it reads it, so a second backward
+        # needs a second training forward
+        self._cached_training_forward = False
         grad = upstream
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
@@ -242,11 +246,6 @@ class Model:
 
     def param_count(self) -> int:
         return sum(arr.size for arr in self.params())
-
-    @property
-    def head_kind(self) -> str:
-        last = self.spec.layers[-1]
-        return last.kind if isinstance(last, ActivationSpec) else "linear"
 
 
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:
@@ -372,9 +371,6 @@ def predict_two_stage_encoded(
     pos = np.flatnonzero(probs >= threshold)
     # no positives: predict_batched makes no forward call
     dists = predict_batched(stage2, ids[pos, :length2])
-    if stage2.head_kind != "softmax":
-        # per-class sigmoid head: renormalize each row into a distribution
-        dists = dists / dists.sum(axis=1, keepdims=True)
     for i, dist in zip(pos, dists):
         preds[i] = Prediction(
             preds[i].stage1_probability, Verdict.VULNERABLE,

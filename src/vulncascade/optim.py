@@ -1,7 +1,9 @@
-"""Parameter update rules and the finite-difference gradient checker.
+"""The Adam update rule (Kingma and Ba 2015) and the finite-difference
+gradient checker.
 
-Optimizers mutate parameter arrays in place.  State tensors are allocated
-lazily on the first step and stay shape-congruent with their parameters.
+Both stages train with Adam.  It mutates parameter arrays in place; its
+moment tensors are allocated lazily on the first step and stay
+shape-congruent with their parameters.
 """
 
 from __future__ import annotations
@@ -46,12 +48,6 @@ class Optimizer:
         return state
 
 
-class SGD(Optimizer):
-    def _update(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.learning_rate * g
-
-
 class Adam(Optimizer):
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -74,60 +70,6 @@ class Adam(Optimizer):
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class RMSprop(Optimizer):
-    def __init__(self, learning_rate: float, rho: float = 0.9, eps: float = 1e-8):
-        super().__init__(learning_rate)
-        self.rho = rho
-        self.eps = eps
-        self.mean_square: list[np.ndarray] | None = None
-
-    def _update(self, params, grads):
-        self.mean_square = self._grow(self.mean_square, params)
-        for p, g, ms in zip(params, grads, self.mean_square):
-            ms *= self.rho
-            ms += (1.0 - self.rho) * g * g
-            p -= self.learning_rate * g / (np.sqrt(ms) + self.eps)
-
-
-class Adagrad(Optimizer):
-    def __init__(self, learning_rate: float, eps: float = 1e-8):
-        super().__init__(learning_rate)
-        self.eps = eps
-        self.accum: list[np.ndarray] | None = None
-
-    def _update(self, params, grads):
-        self.accum = self._grow(self.accum, params)
-        for p, g, a in zip(params, grads, self.accum):
-            a += g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + self.eps)
-
-
-OPTIMIZERS = {"sgd": SGD, "adam": Adam, "rmsprop": RMSprop, "adagrad": Adagrad}
-
-
-def make_optimizer(name: str, learning_rate: float) -> Optimizer:
-    try:
-        cls = OPTIMIZERS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown optimizer {name!r}; choose from {sorted(OPTIMIZERS)}"
-        ) from None
-    return cls(learning_rate)
-
-
-def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is <= max_norm.
-
-    Returns the pre-clip norm.
-    """
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
-    return total
 
 
 def gradient_check(

@@ -2,10 +2,12 @@
 
 The header carries format_version, stage, the full architecture spec, the
 vocabulary content hash and the label map, so a loaded model can refuse
-mismatched inputs.  The payload is every persistent tensor in declared layer
-order, each as u8 ndim, u32 extents, then float64 values.  Deserializing and
-re-serializing is byte-exact, and a loaded model reproduces the saved
-model's predictions exactly.
+mismatched inputs.  The spec must end in its stage's head (a sigmoid
+detector or a softmax classifier); no other output is loaded.  The payload
+is every persistent tensor in declared layer order, each as u8 ndim, u32
+extents, then float64 values.  Deserializing and re-serializing is
+byte-exact, and a loaded model reproduces the saved model's predictions
+exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .archive import read_sealed, take, write_sealed
 from .dataset import LabelMap
 from .errors import SpecCorruptError
-from .models import Model, ModelSpec, _assemble
+from .models import STAGE_HEADS, Model, ModelSpec, _assemble
 
 MODEL_MAGIC = b"VCMD"
 FORMAT_VERSION = 2
@@ -64,10 +66,24 @@ def save_model(
     write_sealed(path, MODEL_MAGIC, header, [_pack_tensors(model)])
 
 
+def _check_head(spec: ModelSpec) -> None:
+    """A model must end in its stage's head: any other output would be read
+    as a detector probability or a class distribution that it is not."""
+    head = STAGE_HEADS.get(spec.stage)
+    if head is None:
+        raise SpecCorruptError(f"model spec stage {spec.stage!r} is neither 1 nor 2")
+    found = spec.layers[-len(head):]
+    if found != head:
+        names = ", ".join(map(repr, found)) or "no layers"
+        raise SpecCorruptError(f"stage-{spec.stage} model ends in {names}; "
+                               f"its head must be {', '.join(map(repr, head))}")
+
+
 def load_model(path: str) -> tuple[Model, ModelHeader]:
     header_raw, payload = read_sealed(path, MODEL_MAGIC, FORMAT_VERSION, "model")
     try:
         spec = ModelSpec.from_dict(header_raw["spec"])
+        _check_head(spec)
         model = _assemble(spec, rng=None)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecCorruptError(f"model header spec is malformed: {exc}") from exc

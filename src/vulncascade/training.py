@@ -1,10 +1,9 @@
-"""Mini-batch training loop shared by both stages.
+"""Mini-batch Adam training loop shared by both stages.
 
-The loss head is picked from the model's output width: width 1 trains
-against binary cross-entropy on 0/1 labels, anything wider against
-categorical cross-entropy on class indices.  A model whose head is a
-per-class sigmoid instead of softmax is trained with element-wise binary
-cross-entropy against the one-hot target.
+The loss is picked from the model's output width: width 1 (the stage-1
+sigmoid detector) trains against binary cross-entropy on 0/1 labels,
+anything wider (the stage-2 softmax classifier) against categorical
+cross-entropy on class indices.
 
 Everything downstream of the seed is deterministic: the same config, data
 and seed reproduce the epoch log bit for bit.
@@ -19,20 +18,18 @@ import numpy as np
 from .errors import DivergenceError
 from .losses import bce_loss, cce_loss
 from .models import Model, predict_batched
-from .optim import clip_gradients, make_optimizer
+from .optim import Adam
 from .smote import SmoteConfig, group_by_class, oversample
 
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"
     batch_size: int = 64
     epochs: int = 10
     learning_rate: float = 0.005
     seed: int = 0
     smote: bool = False
     smote_k: int = 5
-    clip_norm: float | None = None
     stop_at_accuracy: float | None = None
 
     def __post_init__(self):
@@ -123,7 +120,7 @@ def train(
     else:
         targets = _one_hot(labels, model.output_width)
 
-    optimizer = make_optimizer(config.optimizer, config.learning_rate)
+    optimizer = Adam(config.learning_rate)
     rng = np.random.default_rng(config.seed)
     result = TrainResult()
     n = ids.shape[0]
@@ -135,7 +132,7 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             probs = model.forward(ids[batch], training=True)
-            if binary or model.head_kind == "sigmoid":
+            if binary:
                 loss, dprobs = bce_loss(targets[batch], probs)
             else:
                 loss, dprobs = cce_loss(targets[batch], probs)
@@ -144,10 +141,7 @@ def train(
             losses.append(loss)
             model.zero_grad()
             model.backward(dprobs)
-            grads = model.grads()
-            if config.clip_norm is not None:
-                clip_gradients(grads, config.clip_norm)
-            optimizer.step(model.params(), grads)
+            optimizer.step(model.params(), model.grads())
             step += 1
 
         acc = accuracy_of(model, ids, labels)

@@ -320,7 +320,7 @@ def test_criterion_5_stage1_overfit():
         rng.integers(9, 22, size=(n, 500)))
 
     model = build_model(stage1_spec(vocab), seed=0)
-    config = TrainConfig(optimizer="adam", batch_size=64, epochs=200,
+    config = TrainConfig(batch_size=64, epochs=200,
                          learning_rate=0.005, seed=0, stop_at_accuracy=1.0)
     result = train(model, ids, labels, config)
     assert result.final_accuracy() == 1.0
@@ -349,7 +349,7 @@ def test_criterion_6_stage2_overfit():
     labels = np.array(labels_list, dtype=np.int64)
 
     model = build_model(stage2_spec(vocab, num_classes), seed=0)
-    config = TrainConfig(optimizer="adam", batch_size=32, epochs=100,
+    config = TrainConfig(batch_size=32, epochs=100,
                          learning_rate=0.001, seed=0, smote=True, smote_k=2,
                          stop_at_accuracy=0.95)
     result = train(model, ids, labels, config)

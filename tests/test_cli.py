@@ -386,6 +386,21 @@ class TestTrain:
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("removed", [["--optimizer", "adam"], ["--clip"],
+                                         ["--stage1-head", "sigmoid"],
+                                         ["--stage2-head", "softmax"]])
+    def test_removed_options_are_usage_errors(self, workspace, tmp_path, capsys,
+                                              removed):
+        # both stages train with Adam, a sigmoid detector head and a softmax
+        # classifier head; the options that chose otherwise are gone
+        out = tmp_path / "m.vcmd"
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--stage", "1", "--data", str(workspace["data"]),
+                  "--out", str(out), *removed])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_stage_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["train", "--stage", "3", "--data", str(workspace["data"]),
@@ -393,7 +408,32 @@ class TestTrain:
         assert info.value.code == 2
 
 
+# (--stage1 file, --stage2 file, the flag refused, the stage it found):
+# doubled and swapped pairs
+MISMATCHED_PAIRS = [
+    ("s2", "s2", "--stage1", 2),
+    ("s1", "s1", "--stage2", 1),
+    ("s2", "s1", "--stage1", 2),
+]
+
+
+def assert_pair_refused(workspace, capsys, code, flag, found):
+    name = "s1" if found == 1 else "s2"
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{flag} {workspace[name]} holds a stage-{found} model" in captured.err
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("first, second, flag, found", MISMATCHED_PAIRS)
+    def test_mismatched_model_pair_is_usage_error(self, workspace, capsys,
+                                                  first, second, flag, found):
+        code = main(["evaluate", "--stage1", str(workspace[first]),
+                     "--stage2", str(workspace[second]),
+                     "--data", str(workspace["data"])])
+        assert_pair_refused(workspace, capsys, code, flag, found)
+
     def test_stage1_only_text(self, workspace, capsys):
         assert main(["evaluate", "--stage1", str(workspace["s1"]),
                      "--data", str(workspace["data"])]) == 0
@@ -596,6 +636,17 @@ class TestScan:
         assert 0 < vulnerable < len(bodies)
         assert (stage1.forward_calls, stage1.eval_samples) == (1, len(bodies))
         assert (stage2.forward_calls, stage2.eval_samples) == (1, vulnerable)
+
+    @pytest.mark.parametrize("first, second, flag, found", MISMATCHED_PAIRS)
+    def test_mismatched_model_pair_is_usage_error(self, workspace, tree, capsys,
+                                                  first, second, flag, found):
+        # read as a detector, a stage-2 model's class-0 softmax would call
+        # every unit clean
+        code = main(["scan", "--stage1", str(workspace[first]),
+                     "--stage2", str(workspace[second]),
+                     "--vocab", str(workspace["data"] / "vocab.txt"),
+                     "--per-function", str(tree)])
+        assert_pair_refused(workspace, capsys, code, flag, found)
 
     def test_foreign_vocab_rejected(self, workspace, tree, tmp_path, capsys):
         other = tmp_path / "other_vocab.txt"

@@ -431,13 +431,6 @@ class TestActivation:
         assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(y >= 0)
 
-    def test_scaled_tanh_range_and_midpoint(self):
-        a = Activation("scaled_tanh")
-        y = a.forward(np.array([-50.0, 0.0, 50.0]))
-        assert y[0] == pytest.approx(0.0, abs=1e-12)
-        assert y[1] == 0.5
-        assert y[2] == pytest.approx(1.0, abs=1e-12)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Activation("gelu")
@@ -460,8 +453,7 @@ class TestActivation:
         x = draw()
         np.testing.assert_array_equal(a.backward(np.ones_like(x)), x > 0)
 
-    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "softmax",
-                                      "scaled_tanh"])
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "softmax"])
     def test_gradients(self, rng, kind):
         a = Activation(kind)
         # keep relu inputs away from the kink at zero

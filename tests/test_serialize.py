@@ -319,3 +319,39 @@ class TestHeaderFields:
         out = edit_header(path.read_bytes(), lambda h: h.update(label_classes=None))
         _, header = load_model(rewrite(path, reseal(out[:-32])))
         assert header.label_map() is None
+
+
+class TestHeads:
+    """A model must end in its stage's head: a sigmoid detector at stage 1,
+    a softmax classifier at stage 2.  Any other head is refused by name."""
+
+    def test_stage2_sigmoid_head(self, tmp_path):
+        spec = small_spec()
+        spec.layers = spec.layers[:-1] + (ActivationSpec("sigmoid"),)
+        path = tmp_path / "m.vcmd"
+        save_model(build_model(spec, seed=2), str(path), VOCAB_HASH)
+        with pytest.raises(SpecCorruptError, match="stage-2 model ends in "
+                           r"ActivationSpec\(kind='sigmoid'\)"):
+            load_model(str(path))
+
+    def test_stage1_scaled_tanh_head(self, tmp_path):
+        model = build_model(ModelSpec(
+            stage=1, vocab_size=3, embedding_dim=2, input_length=3,
+            layers=(FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))))
+        path = tmp_path / "m.vcmd"
+        save_model(model, str(path), VOCAB_HASH)
+        out = edit_header(path.read_bytes(),
+                          lambda h: h["spec"]["layers"][-1].update(kind="scaled_tanh"))
+        with pytest.raises(SpecCorruptError, match="stage-1 model ends in "
+                           r"DenseSpec\(units=1\), ActivationSpec\(kind='scaled_tanh'\)"):
+            load_model(rewrite(path, reseal(out[:-32])))
+
+    def test_unknown_stage(self, saved):
+        path, _, _ = saved
+
+        def to_stage_3(header):
+            header["stage"] = header["spec"]["stage"] = 3
+
+        out = edit_header(path.read_bytes(), to_stage_3)
+        with pytest.raises(SpecCorruptError, match="stage 3 is neither 1 nor 2"):
+            load_model(rewrite(path, reseal(out[:-32])))

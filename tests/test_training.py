@@ -38,7 +38,7 @@ def binary_spec():
     )
 
 
-def multiclass_spec(num_classes=3, head="softmax"):
+def multiclass_spec(num_classes=3):
     return ModelSpec(
         stage=2, vocab_size=VOCAB, embedding_dim=5, input_length=8,
         layers=(
@@ -46,7 +46,7 @@ def multiclass_spec(num_classes=3, head="softmax"):
             LSTMSpec(6, return_sequences=True),
             LSTMSpec(4, return_sequences=False),
             DenseSpec(6), ActivationSpec("relu"),
-            DenseSpec(num_classes), ActivationSpec(head),
+            DenseSpec(num_classes), ActivationSpec("softmax"),
         ),
     )
 
@@ -70,7 +70,6 @@ def multiclass_task(num_classes=3, per_class=3):
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        assert cfg.optimizer == "adam"
         assert cfg.batch_size == 64
         assert cfg.learning_rate == 0.005
 
@@ -151,17 +150,6 @@ class TestDeterminism:
             logs.append(log)
         assert logs[0] != logs[1]
 
-    def test_clipped_run_is_still_deterministic(self):
-        ids, labels = binary_task()
-        logs = []
-        for _ in range(2):
-            model = build_model(binary_spec(), seed=3)
-            log: list[str] = []
-            train(model, ids, labels,
-                  TrainConfig(batch_size=4, epochs=4, clip_norm=1.0), log=log)
-            logs.append(log)
-        assert logs[0] == logs[1]
-
 
 class TestEarlyStopAndDivergence:
     def test_early_stop_truncates_epochs(self):
@@ -198,14 +186,6 @@ class TestMulticlassTraining:
                           seed=0, stop_at_accuracy=1.0)
         result = train(model, ids, labels, cfg)
         assert result.final_accuracy() == 1.0
-
-    def test_sigmoid_head_trains_against_one_hot(self):
-        ids, labels = multiclass_task()
-        model = build_model(multiclass_spec(head="sigmoid"), seed=0)
-        result = train(model, ids, labels,
-                       TrainConfig(batch_size=3, epochs=2, learning_rate=0.01))
-        assert len(result.epochs) == 2
-        assert np.isfinite(result.epochs[-1].mean_loss)
 
     def test_smote_balances_before_training(self):
         # 6 majority + 3 minority; balancing doubles the minority so one
