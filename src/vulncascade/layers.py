@@ -10,6 +10,12 @@ Gradient buffers exist only after training use: they are allocated the first
 time zero_grad, grads or backward touches them, so a model that only infers
 never holds them.  Forward and backward are pure given (input, parameters);
 only the optimizer mutates parameters.
+
+EmbeddingConv1D runs an Embedding that feeds a Conv1D as one lookup per tap
+of the (V, F) product of the table with that tap's weights; it never builds
+the (B, L, D) embedding output.  It pays where V*D < B*L'*(D - GATHER_COST),
+GATHER_COST = 30 by measurement (the numbers are at its definition): stage
+2 (D 300, V in the tens to thousands) folds, stage 1 (D 13) never does.
 """
 
 from __future__ import annotations
@@ -107,21 +113,40 @@ class Embedding(Layer):
         self.table = _uniform(rng, 0.05, (vocab_size, dim))
         self._ids = None
 
-    def forward(self, ids, training: bool = False):
+    def check_ids(self, ids) -> np.ndarray:
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise IdOutOfRangeError(
                 f"token id outside embedding table of {self.vocab_size} rows"
             )
+        return ids
+
+    def forward(self, ids, training: bool = False):
+        ids = self.check_ids(ids)
         self._ids = ids if training else None
         return self.table[ids]
 
     def backward(self, upstream):
-        # repeated ids accumulate; there is no gradient for the ids themselves
+        """Repeated ids accumulate; there is no gradient for the ids.
+
+        The rows are summed by one flat bincount into a fresh buffer, which
+        equals np.add.at into the zeroed gradient bit for bit.  Two backwards
+        with no zero_grad between them add two such sums, an order that
+        differs from accumulating every row in place.
+        """
         ids, self._ids = self._ids, None
-        np.add.at(self.grad["table"], ids.ravel(),
-                  upstream.reshape(-1, self.dim))
+        self.grad["table"] += sum_rows_by_id(ids, upstream, self.vocab_size)
         return None
+
+
+def sum_rows_by_id(ids: np.ndarray, upstream: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, W): row v sums upstream[..., :] over the positions whose id is v,
+    for ids of upstream's leading shape, in one flat bincount over
+    id * W + column, in position order."""
+    width = upstream.shape[-1]
+    flat = np.asarray(ids, dtype=np.intp)[..., None] * width + np.arange(width)
+    return np.bincount(flat.ravel(), weights=upstream.ravel(),
+                       minlength=rows * width).reshape(rows, width)
 
 
 class Conv1D(Layer):
@@ -189,6 +214,76 @@ class Conv1D(Layer):
                 dx[b, j:j + l_out] += dcols[:, j]
         self.grad["weights"] += dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
+
+
+# Cost, in GEMM multiply-adds, of gathering and adding one element of a
+# folded tap (see EmbeddingConv1D.wins).  Measured crossovers, forward +
+# backward in ms, pair -> fold, best of 5, one BLAS thread, numpy 2.4.6, a
+# shared 2-vCPU x86_64 box (L 400, F 64, k 3 unless named):
+#   D at B 32, V 69:   D 16: 11.2 -> 13.0   D 32: 16.3 -> 13.1   (rule: D > 30)
+#   V at B 5, D 300:   V 1500: 28.5 -> 18.1   V 2500: 23.4 -> 33.5  (rule: 1791)
+#   V at B 32, D 300:  V 10000: 199 -> 158    V 15000: 237 -> 282  (rule: 11462)
+#   V at B 1, D 300:   V 200: 5.7 -> 2.8      V 400: 5.4 -> 5.2   (rule: 358)
+#   stage 1, B 64, V 69, D 13, F 256, k 7: 192 -> 543  (rule: never)
+GATHER_COST = 30
+
+
+class EmbeddingConv1D:
+    """An Embedding feeding a Conv1D, run as k table lookups.
+
+    With ids (B, L), the (V, D) table and (F, D, k) weights, each tap j has
+    the (V, F) product P_j = table @ W[:, :, j].T, and
+        out[b, t] = bias + sum_j P_j[ids[b, t + j]].
+    Backward sums the upstream by the id at offset j into dP_j (the
+    Embedding's bincount), then dW[:, :, j] = dP_j.T @ table and
+    dtable = sum_j dP_j @ W[:, :, j].  A training forward caches the ids
+    alone: neither the (B, L, D) embedding output nor the convolution's dx
+    is ever built.  Gradients go to the two layers' own buffers, so the
+    model's tensors, their names and the file format are those of the pair.
+    """
+
+    def __init__(self, embedding: Embedding, conv: Conv1D):
+        self.embedding = embedding
+        self.conv = conv
+        self._ids = None
+
+    def wins(self, batch: int, length: int) -> bool:
+        """Whether the fold is cheaper than the pair at this batch shape.
+
+        Both forwards are dominated by k*F times: V*D multiply-adds for the
+        tap products plus GATHER_COST per gathered element (B*L') for the
+        fold, B*L'*D multiply-adds for the convolution.  So the fold wins
+        when V*D < B*L'*(D - GATHER_COST): never at D <= GATHER_COST, and
+        never when V >= B*L'.
+        """
+        rows = batch * (length - self.conv.kernel_size + 1)
+        d = self.embedding.dim
+        return self.embedding.vocab_size * d < rows * (d - GATHER_COST)
+
+    def forward(self, ids, training: bool = False):
+        ids = self.embedding.check_ids(ids)
+        k = self.conv.kernel_size
+        l_out = ids.shape[1] - k + 1
+        # (k, V, F): one GEMM per tap
+        taps = self.embedding.table @ self.conv.weights.transpose(2, 1, 0)
+        out = taps[0][ids[:, :l_out]]
+        for j in range(1, k):
+            out += taps[j][ids[:, j:j + l_out]]
+        out += self.conv.bias
+        self._ids = ids if training else None
+        return out
+
+    def backward(self, upstream):
+        ids, self._ids = self._ids, None
+        emb, conv = self.embedding, self.conv
+        k, l_out = conv.kernel_size, upstream.shape[1]
+        conv.grad["bias"] += upstream.sum(axis=(0, 1))
+        # (k, V, F): the upstream summed by the id at each tap's offset
+        d_taps = np.stack([sum_rows_by_id(ids[:, j:j + l_out], upstream,
+                                          emb.vocab_size) for j in range(k)])
+        conv.grad["weights"] += (d_taps.transpose(0, 2, 1) @ emb.table).transpose(1, 2, 0)
+        emb.grad["table"] += (d_taps @ conv.weights.transpose(2, 0, 1)).sum(axis=0)
+        return None
 
 
 def _pairs(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

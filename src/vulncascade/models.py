@@ -12,6 +12,13 @@ Stage 2 (class classifier): 300-d embedding over 400 ids, two convolution
 blocks (64 then 128 filters, kernel 3, ReLU, batch normalization, 2x2 max
 pooling), an LSTM returning its full sequence (100 cells) feeding a second
 LSTM reduced to its last step (10 cells), then dense 100 -> C with softmax.
+
+_assemble pairs an embedding with a convolution that directly follows it
+into a layers.EmbeddingConv1D, and Model.forward runs the pair folded for
+every batch whose shape the fold's rule says it wins (V*D < B*L'*(D - 30),
+measured): stage 2 at its training, accuracy-pass and scan batches, never
+stage 1.  The two layers keep their own tensors and gradients, so the
+model's tensors, names and file bytes are those of the unfolded stack.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .layers import (
     Conv1D,
     Dense,
     Embedding,
+    EmbeddingConv1D,
     Flatten,
     Layer,
     LSTM,
@@ -188,15 +196,22 @@ def stage2_spec(
 
 
 class Model:
-    """An ordered layer stack materialized from a ModelSpec."""
+    """An ordered layer stack materialized from a ModelSpec.
 
-    def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int):
+    fold, when set, runs the stack's first two layers (an Embedding feeding a
+    Conv1D) as one EmbeddingConv1D for every batch whose shape it wins.
+    """
+
+    def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
+                 fold: EmbeddingConv1D | None = None):
         self.spec = spec
         self.layers = layers
         self.output_width = output_width
+        self.fold = fold
         self.forward_calls = 0
         self.eval_samples = 0
         self._cached_training_forward = False
+        self._folded = False
 
     def forward(self, ids: np.ndarray, training: bool = False) -> np.ndarray:
         ids = np.asarray(ids)
@@ -207,8 +222,9 @@ class Model:
         self.forward_calls += 1
         self.eval_samples += ids.shape[0]
         self._cached_training_forward = False
-        h = ids
-        for layer in self.layers:
+        self._folded = self.fold is not None and self.fold.wins(*ids.shape)
+        h = self.fold.forward(ids, training=training) if self._folded else ids
+        for layer in self._unfolded():
             h = layer.forward(h, training=training)
         self._cached_training_forward = training
         return h
@@ -222,8 +238,14 @@ class Model:
         # needs a second training forward
         self._cached_training_forward = False
         grad = upstream
-        for layer in reversed(self.layers):
+        for layer in reversed(self._unfolded()):
             grad = layer.backward(grad)
+        if self._folded:
+            self.fold.backward(grad)
+
+    def _unfolded(self) -> list[Layer]:
+        """The layers the last forward ran one at a time."""
+        return self.layers[2:] if self._folded else self.layers
 
     def params(self) -> list[np.ndarray]:
         return [arr for layer in self.layers for _, arr in layer.params()]
@@ -261,6 +283,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
     from rng in layer order; with no rng the randomly initialized ones are
     left uninitialized, for a caller that fills every tensor."""
     layers: list[Layer] = [Embedding(spec.vocab_size, spec.embedding_dim, rng)]
+    fold = None
     # shape state after the embedding: a (length, channels) sequence
     seq: tuple[int, int] | None = (spec.input_length, spec.embedding_dim)
     flat: int | None = None
@@ -279,6 +302,8 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if length < ls.kernel_size:
                 fail(i, ls, f"sequence length {length} < kernel size {ls.kernel_size}")
             layers.append(Conv1D(channels, ls.filters, ls.kernel_size, rng))
+            if i == 0:  # the embedding feeds this convolution directly
+                fold = EmbeddingConv1D(layers[0], layers[1])
             seq = (length - ls.kernel_size + 1, ls.filters)
         elif isinstance(ls, PoolSpec):
             if seq is None:
@@ -322,7 +347,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
         raise IncompatibleSpecError(
             "network never reduces to flat features; it cannot feed a classifier head"
         )
-    return Model(spec, layers, output_width=flat)
+    return Model(spec, layers, output_width=flat, fold=fold)
 
 
 class Verdict(Enum):

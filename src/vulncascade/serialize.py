@@ -53,6 +53,9 @@ def save_model(
     vocab_hash: str,
     label_map: LabelMap | None = None,
 ) -> None:
+    """Write the model; a spec that load_model would refuse is refused here,
+    before the file is opened."""
+    _check_head(model.spec)
     if label_map is not None and len(label_map) != model.output_width:
         raise ValueError(f"label map of {len(label_map)} classes for a model "
                          f"of {model.output_width} outputs")

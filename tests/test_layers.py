@@ -17,6 +17,7 @@ from vulncascade.layers import (
     Conv1D,
     Dense,
     Embedding,
+    EmbeddingConv1D,
     Flatten,
     LSTM,
     MaxPool1D,
@@ -24,6 +25,7 @@ from vulncascade.layers import (
     sigmoid,
     softmax,
 )
+from vulncascade.optim import gradient_check
 
 from conftest import layer_grad_error
 
@@ -370,11 +372,93 @@ class TestEmbedding:
         layer = Embedding(50, 20, rng)
         assert np.max(np.abs(layer.table)) <= 0.05
 
+    def test_backward_equals_add_at_into_zeroed_buffer(self):
+        # the stage-1 shape: one bincount sums in np.add.at's order
+        rng = np.random.default_rng(13)
+        layer = Embedding(69, 13, rng)
+        ids = rng.integers(0, 69, size=(64, 500))
+        upstream = rng.standard_normal((64, 500, 13))
+        layer.zero_grad()
+        layer.forward(ids, training=True)
+        layer.backward(upstream)
+        want = np.zeros((69, 13))
+        np.add.at(want, ids.ravel(), upstream.reshape(-1, 13))
+        np.testing.assert_array_equal(layer.grad["table"], want)
+
     def test_gradients(self, rng):
         for i in range(3):
             layer = Embedding(6, 3, rng)
             ids = rng.integers(0, 6, size=(2, 4))
             assert layer_grad_error(layer, ids, seed=i, check_input=False) < 1e-4
+
+
+def folded_pair(vocab, dim, filters, k, seed=0):
+    rng = np.random.default_rng(seed)
+    emb, conv = Embedding(vocab, dim, rng), Conv1D(dim, filters, k, rng)
+    conv.bias[:] = rng.standard_normal(filters)
+    return emb, conv, EmbeddingConv1D(emb, conv)
+
+
+def pair_grads(emb, conv):
+    return [emb.grad["table"], conv.grad["weights"], conv.grad["bias"]]
+
+
+def relative_error(got, want):
+    """Largest difference relative to the largest reference magnitude."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestEmbeddingConv1D:
+    """The folded pair against the Embedding -> Conv1D pair it stands for."""
+
+    def test_gradients(self):
+        emb, conv, fold = folded_pair(5, 64, 3, 3)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, 5, size=(2, 8))
+        assert fold.wins(*ids.shape)
+        emb.table *= 20.0
+        w = rng.standard_normal((2, 6, 3))
+
+        def loss_fn():
+            return float(np.sum(fold.forward(ids, training=True) * w))
+
+        emb.zero_grad()
+        conv.zero_grad()
+        fold.forward(ids, training=True)
+        assert fold.backward(w) is None
+        params = [emb.table, conv.weights, conv.bias]
+        assert gradient_check(loss_fn, params, pair_grads(emb, conv), rng=rng) < 1e-4
+
+    # stage 2's first pair in a training step of criterion 6 (V 108) and in
+    # the stage-2 rows of one scanned file (V 33)
+    @pytest.mark.parametrize("batch, vocab", [(32, 108), (5, 33)])
+    def test_matches_the_pair_at_production_shapes(self, batch, vocab):
+        emb, conv, fold = folded_pair(vocab, 300, 64, 3, seed=batch)
+        rng = np.random.default_rng(vocab)
+        ids = rng.integers(0, vocab, size=(batch, 400))
+        upstream = rng.standard_normal((batch, 398, 64))
+        assert fold.wins(*ids.shape)
+        emb.zero_grad()
+        conv.zero_grad()
+        want = conv.forward(emb.forward(ids, training=True), training=True)
+        emb.backward(conv.backward(upstream))
+        want_grads = [g.copy() for g in pair_grads(emb, conv)]
+        emb.zero_grad()
+        conv.zero_grad()
+        got = fold.forward(ids, training=True)
+        fold.backward(upstream)
+        assert relative_error(got, want) <= 1e-12
+        for got_grad, want_grad in zip(pair_grads(emb, conv), want_grads):
+            assert relative_error(got_grad, want_grad) <= 1e-12
+
+    def test_rule(self):
+        # a narrow embedding never folds; a wide one folds while the tap
+        # products (V rows) cost less than the windows they replace (B * L')
+        _, _, narrow = folded_pair(5, 13, 4, 3)
+        assert not narrow.wins(1000, 400)
+        _, _, wide = folded_pair(200, 300, 4, 3)
+        assert wide.wins(1, 400)
+        assert not wide.wins(1, 202)
 
 
 class TestDense:

@@ -8,6 +8,7 @@ import pytest
 
 from vulncascade.dataset import LabelMap
 from vulncascade.errors import (
+    IdOutOfRangeError,
     IncompatibleSpecError,
     PipelineError,
     ShapeMismatchError,
@@ -217,6 +218,15 @@ class TestBuildModel:
             build_model(spec)
 
 
+def folding_stage2_spec(vocab_size=6, num_classes=3):
+    """A tiny classifier whose wide embedding takes the fold at 2 rows."""
+    return ModelSpec(
+        stage=2, vocab_size=vocab_size, embedding_dim=64, input_length=10,
+        layers=tiny_stage2_spec().layers[:-2] + (
+            DenseSpec(num_classes), ActivationSpec("softmax")),
+    )
+
+
 class TestForward:
     def test_rejects_wrong_length(self):
         model = build_model(tiny_stage1_spec())
@@ -293,6 +303,90 @@ class TestForward:
         assert any(np.any(g != 0) for g in model.grads())
         model.zero_grad()
         assert all(np.all(g == 0) for g in model.grads())
+
+
+def held_arrays(obj):
+    """Every array an attribute holds, through lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from held_arrays(item)
+
+
+class TestFold:
+    """The stage-2 Embedding -> Conv1D pair runs folded where the rule says
+    it wins; stage 1 and large vocabularies keep the pair."""
+
+    def test_only_a_leading_convolution_is_folded(self):
+        model = build_model(stage2_spec(33, 3))
+        assert model.fold.embedding is model.layers[0]
+        assert model.fold.conv is model.layers[1]
+        flat_first = ModelSpec(
+            stage=1, vocab_size=3, embedding_dim=2, input_length=3,
+            layers=(FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid")))
+        assert build_model(flat_first).fold is None
+
+    def test_rule_keeps_stage1_on_the_direct_path(self):
+        for vocab in (33, 69, 108, 5000):
+            fold = build_model(stage1_spec(vocab)).fold
+            for batch in (1, 5, 64, 105, 256):
+                assert not fold.wins(batch, 500)
+
+    def test_rule_folds_stage2_production_shapes(self):
+        # training at batch 32, a scanned file's 5 rows, the accuracy pass
+        for batch, vocab in ((32, 108), (5, 33), (105, 69), (256, 69)):
+            assert build_model(stage2_spec(vocab, 3)).fold.wins(batch, 400)
+
+    def test_rule_keeps_stage2_direct_when_vocab_outnumbers_windows(self):
+        # B * L' windows of 3 ids: the fold's V tap rows cost more
+        for batch, vocab in ((1, 398), (5, 1990), (5, 5000)):
+            assert not build_model(stage2_spec(vocab, 3)).fold.wins(batch, 400)
+
+    def test_eval_pass_matches_the_unfolded_stack(self):
+        # the 105-row accuracy pass, folded, against the layers run in turn
+        rng = np.random.default_rng(105)
+        model = build_model(stage2_spec(69, 4), seed=3)
+        ids = rng.integers(0, 69, size=(105, 400))
+        assert model.fold.wins(*ids.shape)
+        want = ids
+        for layer in model.layers:
+            want = layer.forward(want)
+        got = model.forward(ids)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_out_of_range_id_is_refused(self):
+        model = build_model(stage2_spec(33, 3))
+        ids = np.zeros((5, 400), dtype=np.int64)
+        assert model.fold.wins(*ids.shape)
+        for bad in (33, -1):
+            ids[2, 7] = bad
+            with pytest.raises(IdOutOfRangeError):
+                model.forward(ids)
+            with pytest.raises(IdOutOfRangeError):
+                model.forward(ids, training=True)
+
+    def test_training_forward_holds_no_embedding_output(self):
+        model = build_model(stage2_spec(50, 3))
+        ids = np.random.default_rng(2).integers(0, 50, size=(2, 400))
+        assert model.fold.wins(*ids.shape)
+        model.forward(ids, training=True)
+        shapes = [arr.shape for owner in (*model.layers, model.fold)
+                  for value in vars(owner).values() for arr in held_arrays(value)]
+        assert (2, 400, 300) not in shapes
+        assert ids.shape in shapes  # the fold's one cache
+
+    def test_second_backward_is_refused(self, rng):
+        model = build_model(folding_stage2_spec())
+        ids = rng.integers(0, 6, size=(2, 10))
+        assert model.fold.wins(*ids.shape)
+        out = model.forward(ids, training=True)
+        model.backward(np.ones_like(out))
+        with pytest.raises(PipelineError, match="training forward"):
+            model.backward(np.ones_like(out))
 
 
 def force_probability_half(stage1: Model) -> None:
@@ -508,6 +602,14 @@ class TestWholeModelGradients:
         ids = rng.integers(0, 12, size=(2, 12))
         targets = np.array([[1.0], [0.0]])
         self._check(model, ids, lambda p: bce_loss(targets, p))
+
+    def test_folded_classifier_architecture(self):
+        rng = np.random.default_rng(33)
+        model = build_model(folding_stage2_spec(), seed=2)
+        ids = rng.integers(0, 6, size=(2, 10))
+        assert model.fold.wins(*ids.shape)
+        targets = np.eye(3)[[1, 2]]
+        self._check(model, ids, lambda p: cce_loss(targets, p))
 
     def test_classifier_architecture(self):
         rng = np.random.default_rng(32)

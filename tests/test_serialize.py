@@ -329,10 +329,16 @@ class TestHeads:
         spec = small_spec()
         spec.layers = spec.layers[:-1] + (ActivationSpec("sigmoid"),)
         path = tmp_path / "m.vcmd"
-        save_model(build_model(spec, seed=2), str(path), VOCAB_HASH)
-        with pytest.raises(SpecCorruptError, match="stage-2 model ends in "
-                           r"ActivationSpec\(kind='sigmoid'\)"):
-            load_model(str(path))
+        match = r"stage-2 model ends in ActivationSpec\(kind='sigmoid'\)"
+        with pytest.raises(SpecCorruptError, match=match):
+            save_model(build_model(spec, seed=2), str(path), VOCAB_HASH)
+        assert not path.exists()
+        # a file forged past the save-side check is refused on load
+        save_model(build_model(small_spec(), seed=2), str(path), VOCAB_HASH)
+        out = edit_header(path.read_bytes(),
+                          lambda h: h["spec"]["layers"][-1].update(kind="sigmoid"))
+        with pytest.raises(SpecCorruptError, match=match):
+            load_model(rewrite(path, reseal(out[:-32])))
 
     def test_stage1_scaled_tanh_head(self, tmp_path):
         model = build_model(ModelSpec(
