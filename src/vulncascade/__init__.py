@@ -28,12 +28,7 @@ from .models import (
     stage1_spec,
     stage2_spec,
 )
-from .normalizer import (
-    NormalizedSample,
-    normalize,
-    normalize_source,
-    tokenize,
-)
+from .normalizer import normalize, normalize_source, tokenize
 from .serialize import load_model, save_model
 from .smote import SmoteConfig, oversample
 from .training import TrainConfig, TrainResult, train
@@ -44,7 +39,6 @@ __all__ = [
     "LabelMap",
     "Model",
     "ModelSpec",
-    "NormalizedSample",
     "PipelineError",
     "Prediction",
     "SmoteConfig",

@@ -83,12 +83,12 @@ def probability(text: str) -> float:
     return value
 
 
-def _write_manifest(path: str, command: str, config: dict,
+def _write_manifest(args, path: str, config: dict,
                     inputs: list[str], outputs: list[str],
                     started: float) -> None:
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "package_version": __version__,
         "config": config,
         "inputs": inputs,
@@ -169,7 +169,7 @@ def cmd_preprocess(args) -> int:
         print(f"classes: {len(label_map)}")
 
     _write_manifest(
-        os.path.join(args.out_dir, "preprocess_manifest.json"), "preprocess",
+        args, os.path.join(args.out_dir, "preprocess_manifest.json"),
         {"seed": args.seed, "train_fraction": args.train_fraction,
          "min_freq": args.min_freq,
          "preserve_api_names": args.preserve_api_names},
@@ -228,19 +228,21 @@ def cmd_train(args) -> int:
 
     save_model(model, args.out, arch.vocab_hash, label_map)
     _write_manifest(
-        args.out + ".manifest.json", "train",
-        {"stage": args.stage, **vars(config)},
+        args, args.out + ".manifest.json", {"stage": args.stage, **vars(config)},
         [train_path], [args.out], started)
     print(f"saved {args.out}")
     return 0
 
 
 def _load_stage(path: str, stage: int):
-    """load_model, refusing a file that holds the other stage's model."""
+    """load_model, refusing a file that holds the other stage's model or a
+    stage-2 model that cannot name its classes."""
     model, header = load_model(path)
     if header.stage != stage:
         raise CliError(f"--stage{stage} {path} holds a stage-{header.stage} model, "
                        f"not a stage-{stage} one")
+    if stage == 2 and header.label_map() is None:
+        raise CliError("stage-2 model carries no label map")
     return model, header
 
 
@@ -268,8 +270,6 @@ def cmd_evaluate(args) -> int:
         stage2, header2 = _load_stage(args.stage2, 2)
         _check_hash(header2.vocab_hash, arch1.vocab_hash)
         label_map = header2.label_map()
-        if label_map is None:
-            raise CliError("stage-2 model carries no label map")
         _, test2_path = _train_paths(args.data, 2)
         arch2 = load_archive(test2_path)
         _check_hash(header2.vocab_hash, arch2.vocab_hash)
@@ -361,8 +361,6 @@ def cmd_scan(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     _check_hash(vocab.content_hash(), header1.vocab_hash)
     label_map = header2.label_map()
-    if label_map is None:
-        raise CliError("stage-2 model carries no label map")
     preserve = _load_preserve(args.preserve_api_names)
 
     findings = []
@@ -419,8 +417,9 @@ def cmd_smote_report(args) -> int:
     by_class = group_by_class(arch.ids, arch.labels)
     before = class_histogram(by_class)
     vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
-    balanced = oversample(by_class, SmoteConfig(k=args.k, seed=args.seed),
-                          vocab.size)
+    _check_hash(vocab.content_hash(), arch.vocab_hash)
+    # the k and seed that train --stage 2 uses by default
+    balanced = oversample(by_class, SmoteConfig(), vocab.size)
     after = class_histogram(balanced)
     if args.json:
         print(json.dumps({"before": before, "after": after}, indent=2))
@@ -488,16 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show the class balance before and after "
                             "oversampling")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_smote_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # manifests record the command as parsed
     try:
         return args.func(args)
     except (DivergenceError, NonFiniteLossError) as exc:

@@ -540,7 +540,6 @@ def _softmax_backward(upstream, y):
 # relu's mask y > 0 equals x > 0 for every x, NaN and signed zeros included
 _ACTIVATIONS = {
     "relu": (relu, lambda upstream, y: upstream * (y > 0)),
-    "tanh": (np.tanh, lambda upstream, y: upstream * (1.0 - y * y)),
     "sigmoid": (sigmoid, lambda upstream, y: upstream * y * (1.0 - y)),
     "softmax": (softmax, _softmax_backward),
 }

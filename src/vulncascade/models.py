@@ -148,18 +148,14 @@ class ModelSpec:
         )
 
 
-def stage1_spec(
-    vocab_size: int,
-    input_length: int = STAGE1_INPUT_LENGTH,
-    embedding_dim: int = STAGE1_EMBEDDING_DIM,
-) -> ModelSpec:
+def stage1_spec(vocab_size: int) -> ModelSpec:
     """Binary detector: a CNN whose one sigmoid output is the probability
     that the sample is vulnerable."""
     return ModelSpec(
         stage=1,
         vocab_size=vocab_size,
-        embedding_dim=embedding_dim,
-        input_length=input_length,
+        embedding_dim=STAGE1_EMBEDDING_DIM,
+        input_length=STAGE1_INPUT_LENGTH,
         layers=(
             ConvSpec(256, 7), ActivationSpec("relu"), PoolSpec(2, 2),
             ConvSpec(128, 7), ActivationSpec("relu"), PoolSpec(2, 2),
@@ -171,19 +167,14 @@ def stage1_spec(
     )
 
 
-def stage2_spec(
-    vocab_size: int,
-    num_classes: int,
-    input_length: int = STAGE2_INPUT_LENGTH,
-    embedding_dim: int = STAGE2_EMBEDDING_DIM,
-) -> ModelSpec:
+def stage2_spec(vocab_size: int, num_classes: int) -> ModelSpec:
     """Multiclass classifier: a CNN-LSTM whose softmax output is a
     distribution over the num_classes weakness classes."""
     return ModelSpec(
         stage=2,
         vocab_size=vocab_size,
-        embedding_dim=embedding_dim,
-        input_length=input_length,
+        embedding_dim=STAGE2_EMBEDDING_DIM,
+        input_length=STAGE2_INPUT_LENGTH,
         layers=(
             ConvSpec(64, 3), ActivationSpec("relu"), BatchNormSpec(), PoolSpec(2, 2),
             ConvSpec(128, 3), ActivationSpec("relu"), BatchNormSpec(), PoolSpec(2, 2),
@@ -363,11 +354,12 @@ class Prediction:
     predicted_cwe: str | None = None
 
 
-def predict_batched(model: Model, ids: np.ndarray, batch: int = EVAL_BATCH) -> np.ndarray:
-    """Forward a whole dataset in eval mode, in slices to bound memory."""
+def predict_batched(model: Model, ids: np.ndarray) -> np.ndarray:
+    """Forward a whole dataset in eval mode, in slices of EVAL_BATCH rows to
+    bound memory."""
     outputs = [np.zeros((0, model.output_width))]
-    for start in range(0, ids.shape[0], batch):
-        outputs.append(model.forward(ids[start:start + batch], training=False))
+    for start in range(0, ids.shape[0], EVAL_BATCH):
+        outputs.append(model.forward(ids[start:start + EVAL_BATCH], training=False))
     return np.concatenate(outputs, axis=0)
 
 
@@ -414,7 +406,7 @@ def predict_two_stage(
     preserve: frozenset[str] = frozenset(),
 ) -> Prediction:
     """Normalize raw source, encode it at the stage-1 length, and cascade."""
-    sample = normalize_source(source, preserve=preserve)
-    ids = encode(sample, vocab, stage1.spec.input_length).ids
+    tokens = normalize_source(source, preserve=preserve)
+    ids = encode(tokens, vocab, stage1.spec.input_length).ids
     return predict_two_stage_encoded(stage1, stage2, label_map, ids[None, :],
                                      threshold)[0]

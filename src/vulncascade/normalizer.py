@@ -81,15 +81,6 @@ class LexIssue:
     column: int
 
 
-@dataclass
-class NormalizedSample:
-    tokens: list[str]
-    source_id: str = ""
-
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-
 # One alternative per token shape, tried in this order at each position.
 # Words are Unicode identifiers (str.isalnum or "_", not starting with a
 # decimal digit); numbers follow the preprocessor "pp-number" rule: a digit, or
@@ -248,11 +239,8 @@ def classify_identifiers(tokens: list[Token]) -> dict[str, IdentifierRole]:
 
 
 def normalize(
-    tokens: list[Token],
-    roles: dict[str, IdentifierRole] | None = None,
-    preserve: frozenset[str] | set[str] = frozenset(),
-    source_id: str = "",
-) -> NormalizedSample:
+    tokens: list[Token], preserve: frozenset[str] | set[str] = frozenset()
+) -> list[str]:
     """Rewrite a token stream into its canonical form.
 
     Literals map to NUMBER/STRING/CHAR, identifiers to VARk/FUNCk numbered by
@@ -262,8 +250,7 @@ def normalize(
     never rewritten; VARk/FUNCk names in the output are fixed points of a
     second pass because numbering follows first occurrence.
     """
-    if roles is None:
-        roles = classify_identifiers(tokens)
+    roles = classify_identifiers(tokens)
     out: list[str] = []
     names: dict[str, str] = {}
     id_var = 0
@@ -292,18 +279,16 @@ def normalize(
             out.append(names[text])
         else:
             out.append(tok.text)
-    return NormalizedSample(tokens=out, source_id=source_id)
+    return out
 
 
 def normalize_source(
     source: str,
-    source_id: str = "",
     preserve: frozenset[str] | set[str] = frozenset(),
     issues: list[LexIssue] | None = None,
-) -> NormalizedSample:
+) -> list[str]:
     """Lex, classify and normalize a source fragment in one step."""
-    tokens = tokenize(source, issues=issues)
-    return normalize(tokens, preserve=preserve, source_id=source_id)
+    return normalize(tokenize(source, issues=issues), preserve=preserve)
 
 
 def load_preserve_list(path) -> frozenset[str]:

@@ -13,6 +13,13 @@ import numpy as np
 from .errors import NonFiniteLossError, ShapeMismatchError
 
 
+# Adam's moment decay rates and denominator guard: the defaults of Kingma
+# and Ba, which both stages train with
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Optimizer:
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
@@ -49,12 +56,8 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         super().__init__(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
 
@@ -63,13 +66,13 @@ class Adam(Optimizer):
         self.v = self._grow(self.v, params)
         t = self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def gradient_check(

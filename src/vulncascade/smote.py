@@ -19,10 +19,13 @@ import numpy as np
 from .errors import NotEnoughPointsError, ShapeMismatchError
 
 
+# neighbors per point: the one k of train --stage 2 and smote-report
+SMOTE_K = 5
+
+
 @dataclass
 class SmoteConfig:
-    k: int = 5
-    target_count: int | None = None  # None: size of the largest class
+    k: int = SMOTE_K
     seed: int = 0
 
     def __post_init__(self):
@@ -78,7 +81,7 @@ def oversample(
     vocab_size: int,
     trace: list[SynthRecord] | None = None,
 ) -> dict[int, np.ndarray]:
-    """Grow every class to the target count with synthetic samples.
+    """Grow every class to the size of the largest with synthetic samples.
 
     Originals are preserved unmodified and come first in each class's output.
     Classes are processed in sorted label order and all randomness comes from
@@ -87,13 +90,7 @@ def oversample(
     """
     if not by_class:
         return {}
-    sizes = {label: np.asarray(x).shape[0] for label, x in by_class.items()}
-    target = config.target_count if config.target_count is not None else max(sizes.values())
-    too_big = [label for label, n in sizes.items() if n > target]
-    if too_big:
-        raise ValueError(
-            f"target_count {target} is below the size of class(es) {sorted(too_big)}"
-        )
+    target = max(np.asarray(x).shape[0] for x in by_class.values())
     rng = np.random.default_rng(config.seed)
     out: dict[int, np.ndarray] = {}
     for label in sorted(by_class):

@@ -19,7 +19,7 @@ from .errors import DivergenceError
 from .losses import bce_loss, cce_loss
 from .models import Model, predict_batched
 from .optim import Adam
-from .smote import SmoteConfig, group_by_class, oversample
+from .smote import SMOTE_K, SmoteConfig, group_by_class, oversample
 
 
 @dataclass
@@ -29,7 +29,7 @@ class TrainConfig:
     learning_rate: float = 0.005
     seed: int = 0
     smote: bool = False
-    smote_k: int = 5
+    smote_k: int = SMOTE_K
     stop_at_accuracy: float | None = None
 
     def __post_init__(self):

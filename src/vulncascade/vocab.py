@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyCorpusError, IdOutOfRangeError
-from .normalizer import NormalizedSample
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -45,9 +44,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def __len__(self) -> int:
-        return len(self.id_to_token)
-
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
@@ -70,9 +66,7 @@ class Vocabulary:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
-def build_vocab(
-    corpus: Iterable[NormalizedSample | Sequence[str]], min_freq: int = 1
-) -> Vocabulary:
+def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:
     """Count tokens across a corpus and keep those seen at least min_freq times.
 
     Ids are assigned by descending frequency, ties broken lexicographically.
@@ -84,8 +78,7 @@ def build_vocab(
     n_samples = 0
     for sample in corpus:
         n_samples += 1
-        tokens = sample.tokens if isinstance(sample, NormalizedSample) else sample
-        counts.update(tokens)
+        counts.update(sample)
     if n_samples == 0:
         raise EmptyCorpusError("cannot build a vocabulary from zero samples")
     kept = [t for t, c in counts.items() if c >= min_freq]
@@ -93,23 +86,21 @@ def build_vocab(
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
 
 
-def encode(
-    sample: NormalizedSample | Sequence[str], vocab: Vocabulary, max_len: int
-) -> EncodedSample:
+def encode(sample: Sequence[str], vocab: Vocabulary, max_len: int) -> EncodedSample:
     """Map tokens to ids, truncating to the first max_len and right-padding."""
     ids, lengths = encode_batch([sample], vocab, max_len)
     return EncodedSample(ids=ids[0], true_length=int(lengths[0]))
 
 
 def encode_batch(
-    samples: Iterable[NormalizedSample | Sequence[str]], vocab: Vocabulary, max_len: int
+    samples: Iterable[Sequence[str]], vocab: Vocabulary, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode many samples into a (N, max_len) int32 id matrix plus true
     lengths.  Each row holds a sample's first max_len ids, right-padded with
     PAD_ID; encode is the one-row case."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rows = [s.tokens if isinstance(s, NormalizedSample) else s for s in samples]
+    rows = list(samples)
     ids = np.zeros((len(rows), max_len), dtype=np.int32)
     lengths = np.zeros(len(rows), dtype=np.int32)
     lookup = vocab.token_to_id.get

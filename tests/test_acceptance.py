@@ -251,17 +251,17 @@ def test_criterion_3_normalizer_properties():
     started = time.monotonic()
     assert len(SNIPPETS) == 50
     for snippet in SNIPPETS:
-        base = normalize_source(snippet).tokens
-        renamed = normalize_source(_rename_identifiers(snippet)).tokens
+        base = normalize_source(snippet)
+        renamed = normalize_source(_rename_identifiers(snippet))
         assert renamed == base, snippet
 
-        again = normalize_source(" ".join(base)).tokens
+        again = normalize_source(" ".join(base))
         assert again == base, snippet
 
         for token in base:
             assert not _LITERAL_SHAPE.match(token), (snippet, token)
 
-    worked = normalize_source("int add(int a, int b){return a+b;}").tokens
+    worked = normalize_source("int add(int a, int b){return a+b;}")
     assert worked == ["int", "FUNC0", "(", "int", "VAR0", ",", "int", "VAR1",
                       ")", "{", "return", "VAR0", "+", "VAR1", ";", "}"]
     assert time.monotonic() - started < 10.0

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from vulncascade import cli
 from vulncascade.archive import LABEL_BINARY, LABEL_CLASS, load_archive
 from vulncascade.cli import _reencode_rows, main
 from vulncascade.normalizer import TokenKind, split_functions, tokenize
-from vulncascade.serialize import load_model
+from vulncascade.serialize import load_model, save_model
 from vulncascade.vocab import Vocabulary
 
 from c_snippets import SNIPPETS
@@ -69,6 +70,22 @@ def workspace(tmp_path_factory):
     assert main(["train", "--stage", "2", "--data", str(data),
                  "--out", str(s2), "--epochs", "1"]) == 0
     return {"work": work, "corpus": corpus, "data": data, "s1": s1, "s2": s2}
+
+
+@pytest.fixture
+def unlabeled_s2(workspace, tmp_path):
+    """The workspace's stage-2 model saved without a label map."""
+    model, header = load_model(str(workspace["s2"]))
+    path = tmp_path / "unlabeled_s2.vcmd"
+    save_model(model, str(path), header.vocab_hash)
+    return path
+
+
+def assert_no_label_map_refused(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "stage-2 model carries no label map" in captured.err
 
 
 def texts(tokens):
@@ -510,6 +527,13 @@ class TestEvaluate:
         assert main(["evaluate", "--stage1", str(tmp_path / "ghost.vcmd"),
                      "--data", str(workspace["data"])]) == 2
 
+    def test_stage2_without_label_map_is_usage_error(self, workspace, capsys,
+                                                     unlabeled_s2):
+        code = main(["evaluate", "--stage1", str(workspace["s1"]),
+                     "--stage2", str(unlabeled_s2),
+                     "--data", str(workspace["data"])])
+        assert_no_label_map_refused(code, capsys)
+
     def test_threshold_outside_unit_interval_is_usage_error(self, workspace, capsys):
         stage2 = ["--stage2", str(workspace["s2"])]
         for bad in ("1.5", "0", "-3", "1", "nan"):
@@ -656,22 +680,74 @@ class TestScan:
                      "--vocab", str(other), str(tree)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_stage2_without_label_map_is_usage_error(self, workspace, tree, capsys,
+                                                     unlabeled_s2):
+        code = main(["scan", "--stage1", str(workspace["s1"]),
+                     "--stage2", str(unlabeled_s2),
+                     "--vocab", str(workspace["data"] / "vocab.txt"), str(tree)])
+        assert_no_label_map_refused(code, capsys)
+
 
 class TestSmoteReport:
     def test_table(self, workspace, capsys):
-        assert main(["smote-report", "--data", str(workspace["data"]),
-                     "--k", "2"]) == 0
+        assert main(["smote-report", "--data", str(workspace["data"])]) == 0
         text = capsys.readouterr().out
         assert "before" in text and "after" in text
         assert "total" in text
 
     def test_json_balances_classes(self, workspace, capsys):
         assert main(["smote-report", "--data", str(workspace["data"]),
-                     "--k", "2", "--json"]) == 0
+                     "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         target = max(report["before"].values())
         assert set(report["after"].values()) == {target}
         assert len(report["before"]) == 3
+
+    def test_foreign_vocab_rejected(self, workspace, tmp_path, capsys):
+        # a foreign vocabulary would change the id clamp of the synthetic rows
+        data = tmp_path / "tampered"
+        shutil.copytree(workspace["data"], data)
+        lines = (data / "vocab.txt").read_text().splitlines()
+        (data / "vocab.txt").write_text("\n".join(lines + ["extra"]) + "\n")
+        assert main(["smote-report", "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "vocabulary hash mismatch" in captured.err
+
+    @pytest.mark.parametrize("removed", [["--k", "2"], ["--seed", "3"]])
+    def test_removed_options_are_usage_errors(self, workspace, capsys, removed):
+        # the report balances with the k and seed that train --stage 2 uses
+        with pytest.raises(SystemExit) as info:
+            main(["smote-report", "--data", str(workspace["data"]), *removed])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
+
+class TestManifests:
+    def test_record_the_parsed_argv_not_the_host_argv(self, workspace, tmp_path,
+                                                     monkeypatch):
+        # an in-process caller's own command line is not the command run
+        monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
+        data, out = tmp_path / "data", tmp_path / "s1.vcmd"
+        preprocess = ["preprocess", "--corpus", str(workspace["corpus"]),
+                      "--out-dir", str(data)]
+        train = ["train", "--stage", "1", "--data", str(data), "--out", str(out),
+                 "--epochs", "1"]
+        assert main(preprocess) == 0
+        assert main(train) == 0
+        manifest = json.loads((data / "preprocess_manifest.json").read_text())
+        assert (manifest["command"], manifest["argv"]) == ("preprocess", preprocess)
+        manifest = json.loads((tmp_path / "s1.vcmd.manifest.json").read_text())
+        assert (manifest["command"], manifest["argv"]) == ("train", train)
+
+    def test_main_without_argv_parses_and_records_sys_argv(self, workspace,
+                                                          tmp_path, monkeypatch):
+        preprocess = ["preprocess", "--corpus", str(workspace["corpus"]),
+                      "--out-dir", str(tmp_path)]
+        monkeypatch.setattr(sys, "argv", ["vulncascade", *preprocess])
+        assert main() == 0
+        manifest = json.loads((tmp_path / "preprocess_manifest.json").read_text())
+        assert manifest["argv"] == preprocess
 
 
 class TestTopLevel:

@@ -537,7 +537,7 @@ class TestActivation:
         x = draw()
         np.testing.assert_array_equal(a.backward(np.ones_like(x)), x > 0)
 
-    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "softmax"])
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softmax"])
     def test_gradients(self, rng, kind):
         a = Activation(kind)
         # keep relu inputs away from the kink at zero

@@ -25,8 +25,7 @@ def kinds(source):
     return [(t.kind, t.text) for t in tokenize(source)]
 
 
-def norm(source, **kw):
-    return normalize_source(source, **kw).tokens
+norm = normalize_source
 
 
 class TestTokenize:
@@ -362,12 +361,6 @@ def test_load_preserve_list(tmp_path):
     assert load_preserve_list(path) == frozenset({"memcpy", "strlen", "printf"})
 
 
-def test_normalize_with_explicit_roles():
-    toks = tokenize("a(b)")
-    forced = {"a": IdentifierRole.VARIABLE, "b": IdentifierRole.VARIABLE}
-    assert normalize(toks, roles=forced).tokens == ["VAR0", "(", "VAR1", ")"]
-
-
 def test_function_slices_normalize_like_their_source_text():
     # scan normalizes each function from its slice of the file's tokens; the
     # result must equal lexing the function's own source text again
@@ -380,6 +373,6 @@ def test_function_slices_normalize_like_their_source_text():
 
         for _, _, part in split_functions(tokenize(source)):
             text = source[offset(part[0]):offset(part[-1]) + len(part[-1].text)]
-            assert normalize(part).tokens == normalize_source(text).tokens, text
+            assert normalize(part) == normalize_source(text), text
             checked += 1
     assert checked >= len(SNIPPETS) // 2

@@ -352,6 +352,19 @@ class TestHeads:
                            r"DenseSpec\(units=1\), ActivationSpec\(kind='scaled_tanh'\)"):
             load_model(rewrite(path, reseal(out[:-32])))
 
+    def test_removed_tanh_activation(self, tmp_path):
+        # no spec uses tanh; a file that names it is refused, as scaled_tanh is
+        model = build_model(ModelSpec(
+            stage=1, vocab_size=3, embedding_dim=2, input_length=3,
+            layers=(FlattenSpec(), DenseSpec(4), ActivationSpec("relu"),
+                    DenseSpec(1), ActivationSpec("sigmoid"))))
+        path = tmp_path / "m.vcmd"
+        save_model(model, str(path), VOCAB_HASH)
+        out = edit_header(path.read_bytes(),
+                          lambda h: h["spec"]["layers"][2].update(kind="tanh"))
+        with pytest.raises(SpecCorruptError, match="unknown activation 'tanh'"):
+            load_model(rewrite(path, reseal(out[:-32])))
+
     def test_unknown_stage(self, saved):
         path, _, _ = saved
 

@@ -62,17 +62,6 @@ class TestOversample:
         out = oversample(by_class, SmoteConfig(k=3, seed=1), vocab_size=40)
         assert set(class_histogram(out).values()) == {12}
 
-    def test_explicit_target(self, rng):
-        by_class = toy_classes(rng, [4, 6])
-        out = oversample(by_class, SmoteConfig(k=3, seed=1, target_count=10),
-                         vocab_size=40)
-        assert class_histogram(out) == {0: 10, 1: 10}
-
-    def test_target_below_existing_class_rejected(self, rng):
-        by_class = toy_classes(rng, [8])
-        with pytest.raises(ValueError):
-            oversample(by_class, SmoteConfig(k=2, target_count=4), vocab_size=40)
-
     def test_originals_preserved_in_order(self, rng):
         by_class = toy_classes(rng, [9, 5])
         out = oversample(by_class, SmoteConfig(k=3, seed=2), vocab_size=40)
@@ -105,11 +94,12 @@ class TestOversample:
         assert class_histogram(out) == {0: 20, 1: 20}
 
     def test_parents_are_neighbors(self, rng):
-        by_class = toy_classes(rng, [25], dim=4)
+        # a larger second class sets the size class 0 grows to
+        by_class = toy_classes(rng, [25, 40], dim=4)
         trace: list[SynthRecord] = []
-        oversample({0: by_class[0]}, SmoteConfig(k=3, seed=5, target_count=40),
-                   vocab_size=40, trace=trace)
+        oversample(by_class, SmoteConfig(k=3, seed=5), vocab_size=40, trace=trace)
         pts = by_class[0]
+        assert len(trace) == 15 and {rec.label for rec in trace} == {0}
         for rec in trace:
             neighbors = nearest_neighbor_indices(pts, rec.parent_a, 3)
             assert rec.parent_b in neighbors.tolist()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vulncascade import models
 from vulncascade.errors import DivergenceError
 from vulncascade.models import (
     ActivationSpec,
@@ -230,11 +231,13 @@ class TestLabelChecks:
 
 
 class TestEvaluationHelpers:
-    def test_predict_batched_matches_single_pass(self, rng):
+    def test_predict_batched_matches_single_pass(self, rng, monkeypatch):
         model = build_model(multiclass_spec(), seed=0)
         ids = rng.integers(0, VOCAB, size=(7, 8))
         whole = model.forward(ids, training=False)
-        sliced = predict_batched(model, ids, batch=3)
+        monkeypatch.setattr(models, "EVAL_BATCH", 3)
+        sliced = predict_batched(model, ids)
+        assert model.forward_calls == 1 + 3
         np.testing.assert_array_equal(whole, sliced)
 
     def test_accuracy_binary_threshold(self):

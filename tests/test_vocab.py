@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulncascade.errors import EmptyCorpusError, IdOutOfRangeError
-from vulncascade.normalizer import NormalizedSample
+from vulncascade.normalizer import normalize_source
 from vulncascade.vocab import (
     PAD_ID,
     PAD_TOKEN,
@@ -48,8 +48,9 @@ class TestBuild:
         assert v.size == 2
 
     def test_accepts_normalized_samples(self):
-        v = build_vocab([NormalizedSample(["x", "y"], "s1")])
-        assert "x" in v and "y" in v
+        # normalize returns a plain token list, which build_vocab counts
+        v = build_vocab([normalize_source("x = y(1);")])
+        assert "VAR0" in v and "FUNC0" in v and "NUMBER" in v
 
     def test_bad_min_freq(self):
         with pytest.raises(ValueError):
