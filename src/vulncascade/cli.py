@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -220,11 +221,9 @@ def cmd_train(args) -> int:
     print(f"stage {args.stage}: {model.param_count()} parameters, "
           f"{arch.count} training samples")
     log: list[str] = []
-    result = train(model, arch.ids, arch.labels, config, log=log)
+    train(model, arch.ids, arch.labels, config, log=log)
     for line in log:
         print(line)
-    if result.stopped_early:
-        print(f"stopped early at accuracy {result.final_accuracy():.4f}")
 
     save_model(model, args.out, arch.vocab_hash, label_map)
     _write_manifest(
@@ -497,7 +496,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv  # manifests record the command as parsed
     try:
-        return args.func(args)
+        # a library warning reaches the user as one line, without the
+        # Python source location
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (DivergenceError, NonFiniteLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,14 +2,14 @@
 
 Everything runs on float64 numpy arrays.  In training mode each layer caches
 what its backward pass needs.  Backward drops the cached arrays as it reads
-them (a shape tuple may stay), accumulates parameter gradients in-place, and
-returns the gradient with respect to its input, so a network is just an
-ordered list of layers.  An eval-mode forward caches nothing, so inference
-holds one layer's activations at a time; backward needs a training forward.
-Gradient buffers exist only after training use: they are allocated the first
-time zero_grad, grads or backward touches them, so a model that only infers
-never holds them.  Forward and backward are pure given (input, parameters);
-only the optimizer mutates parameters.
+them (a shape tuple may stay), writes its batch's parameter gradients into
+the gradient buffers, and returns the gradient with respect to its input, so
+a network is just an ordered list of layers.  An eval-mode forward caches
+nothing, so inference holds one layer's activations at a time; backward
+needs a training forward.  Gradient buffers exist only after training use:
+they are allocated the first time grads or backward touches them, so a model
+that only infers never holds them.  Forward and backward are pure given
+(input, parameters); only the optimizer mutates parameters.
 
 EmbeddingConv1D runs an Embedding that feeds a Conv1D as one lookup per tap
 of the (V, F) product of the table with that tap's weights; it never builds
@@ -88,10 +88,6 @@ class Layer:
     def grads(self) -> list[tuple[str, np.ndarray]]:
         return list(self.grad.items())
 
-    def zero_grad(self) -> None:
-        for g in self.grad.values():
-            g.fill(0.0)
-
     def forward(self, x, training: bool = False):
         raise NotImplementedError
 
@@ -129,13 +125,11 @@ class Embedding(Layer):
     def backward(self, upstream):
         """Repeated ids accumulate; there is no gradient for the ids.
 
-        The rows are summed by one flat bincount into a fresh buffer, which
-        equals np.add.at into the zeroed gradient bit for bit.  Two backwards
-        with no zero_grad between them add two such sums, an order that
-        differs from accumulating every row in place.
+        The rows are summed by one flat bincount, which equals np.add.at
+        into a zeroed buffer bit for bit.
         """
         ids, self._ids = self._ids, None
-        self.grad["table"] += sum_rows_by_id(ids, upstream, self.vocab_size)
+        self.grad["table"][...] = sum_rows_by_id(ids, upstream, self.vocab_size)
         return None
 
 
@@ -203,7 +197,7 @@ class Conv1D(Layer):
         x, self._x = self._x, None
         k, c, f = self.kernel_size, self.in_channels, self.filters
         l_out = upstream.shape[1]
-        self.grad["bias"] += upstream.sum(axis=(0, 1))
+        self.grad["bias"][...] = upstream.sum(axis=(0, 1))
         cols, w_cols = self._im2col(x)
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
@@ -212,7 +206,7 @@ class Conv1D(Layer):
             dcols = (up @ w_cols).reshape(l_out, k, c)
             for j in range(k):
                 dx[b, j:j + l_out] += dcols[:, j]
-        self.grad["weights"] += dw.reshape(f, k, c).transpose(0, 2, 1)
+        self.grad["weights"][...] = dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
 
 
@@ -277,12 +271,12 @@ class EmbeddingConv1D:
         ids, self._ids = self._ids, None
         emb, conv = self.embedding, self.conv
         k, l_out = conv.kernel_size, upstream.shape[1]
-        conv.grad["bias"] += upstream.sum(axis=(0, 1))
+        conv.grad["bias"][...] = upstream.sum(axis=(0, 1))
         # (k, V, F): the upstream summed by the id at each tap's offset
         d_taps = np.stack([sum_rows_by_id(ids[:, j:j + l_out], upstream,
                                           emb.vocab_size) for j in range(k)])
-        conv.grad["weights"] += (d_taps.transpose(0, 2, 1) @ emb.table).transpose(1, 2, 0)
-        emb.grad["table"] += (d_taps @ conv.weights.transpose(2, 0, 1)).sum(axis=0)
+        conv.grad["weights"][...] = (d_taps.transpose(0, 2, 1) @ emb.table).transpose(1, 2, 0)
+        emb.grad["table"][...] = (d_taps @ conv.weights.transpose(2, 0, 1)).sum(axis=0)
         return None
 
 
@@ -396,15 +390,18 @@ class LSTM(Layer):
     def backward(self, upstream):
         (steps, (b, length, _)), self._cache = self._cache, None
         h_dim = self.units
+        if not self.return_sequences:
+            # only the last step's output was returned
+            last, upstream = upstream, np.zeros((b, length, h_dim))
+            upstream[:, -1] = last
+        for g in self.grad.values():
+            g.fill(0.0)  # the time loop sums each step's share into them
         dx = np.zeros((b, length, self.input_dim))
         dh_next = np.zeros((b, h_dim))
         dc_next = np.zeros((b, h_dim))
         for t in reversed(range(length)):
             x_t, h_prev, c_prev, gi, gf, gg, go, tc = steps[t]
-            if self.return_sequences:
-                dh = upstream[:, t] + dh_next
-            else:
-                dh = dh_next + (upstream if t == length - 1 else 0.0)
+            dh = upstream[:, t] + dh_next
             do = dh * tc
             dc = dc_next + dh * go * (1.0 - tc * tc)
             di = dc * gg
@@ -480,8 +477,8 @@ class BatchNorm1D(Layer):
     def backward(self, upstream):
         (xhat, inv_std, shape), self._cache = self._cache, None
         dy = upstream.reshape(-1, self.features)
-        self.grad["gamma"] += (dy * xhat).sum(axis=0)
-        self.grad["beta"] += dy.sum(axis=0)
+        self.grad["gamma"][...] = (dy * xhat).sum(axis=0)
+        self.grad["beta"][...] = dy.sum(axis=0)
         dx = self.gamma * inv_std * (
             dy - dy.mean(axis=0) - xhat * (dy * xhat).mean(axis=0)
         )
@@ -513,8 +510,8 @@ class Dense(Layer):
 
     def backward(self, upstream):
         x, self._x = self._x, None
-        self.grad["weights"] += upstream.T @ x
-        self.grad["bias"] += upstream.sum(axis=0)
+        self.grad["weights"][...] = upstream.T @ x
+        self.grad["bias"][...] = upstream.sum(axis=0)
         return upstream @ self.weights
 
 

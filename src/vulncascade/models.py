@@ -253,10 +253,6 @@ class Model:
                 out.append((f"layer{i}.{name}", arr))
         return out
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
     def param_count(self) -> int:
         return sum(arr.size for arr in self.params())
 

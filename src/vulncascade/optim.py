@@ -2,8 +2,8 @@
 gradient checker.
 
 Both stages train with Adam.  It mutates parameter arrays in place; its
-moment tensors are allocated lazily on the first step and stay
-shape-congruent with their parameters.
+moment tensors are allocated at the first step, one per array it is given,
+and every later step must pass the same number of arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class Optimizer:
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
-        self.step_count = 0
 
     def _check(self, params, grads):
         if len(params) != len(grads):
@@ -38,32 +37,30 @@ class Optimizer:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self._check(params, grads)
-        self.step_count += 1
         self._update(params, grads)
 
     def _update(self, params, grads):
         raise NotImplementedError
 
-    @staticmethod
-    def _grow(state: list[np.ndarray] | None, params) -> list[np.ndarray]:
-        """Extend per-parameter state so every position has a buffer; state
-        is keyed by list position, which the training loop keeps stable."""
-        if state is None:
-            state = []
-        while len(state) < len(params):
-            state.append(np.zeros_like(params[len(state)]))
-        return state
-
 
 class Adam(Optimizer):
     def __init__(self, learning_rate: float):
         super().__init__(learning_rate)
+        self.step_count = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
 
     def _update(self, params, grads):
-        self.m = self._grow(self.m, params)
-        self.v = self._grow(self.v, params)
+        # moments are keyed by list position, so the list is fixed at the
+        # first step; a refused step changes no state
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        elif len(params) != len(self.m):
+            raise ShapeMismatchError(
+                f"Adam holds moments for {len(self.m)} arrays, got {len(params)}"
+            )
+        self.step_count += 1
         t = self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= BETA1

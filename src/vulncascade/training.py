@@ -125,6 +125,8 @@ def train(
     result = TrainResult()
     n = ids.shape[0]
     step = 0
+    # each backward writes into the same buffers, so one fetch serves every step
+    params, grads = model.params(), model.grads()
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -139,9 +141,8 @@ def train(
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at step {step}", step)
             losses.append(loss)
-            model.zero_grad()
             model.backward(dprobs)
-            optimizer.step(model.params(), model.grads())
+            optimizer.step(params, grads)
             step += 1
 
         acc = accuracy_of(model, ids, labels)

@@ -31,7 +31,6 @@ def layer_grad_error(layer, x, seed=0, training=True, check_input=True,
     def loss_fn():
         return float(np.sum(layer.forward(x, training=training) * w))
 
-    layer.zero_grad()
     layer.forward(x, training=training)
     dx = layer.backward(w)
     params = [arr for _, arr in layer.params()]

@@ -703,6 +703,12 @@ class TestSmoteReport:
         assert set(report["after"].values()) == {target}
         assert len(report["before"]) == 3
 
+    def test_small_class_warning_is_one_plain_line(self, workspace, capsys):
+        assert main(["smote-report", "--data", str(workspace["data"])]) == 0
+        err = capsys.readouterr().err
+        assert "warning: class 1 has only 4 samples (k=5); " in err
+        assert "UserWarning" not in err and ".py:" not in err
+
     def test_foreign_vocab_rejected(self, workspace, tmp_path, capsys):
         # a foreign vocabulary would change the id clamp of the synthetic rows
         data = tmp_path / "tampered"

@@ -158,7 +158,6 @@ class TestConv1D:
             layer = Conv1D(c, f, k, rng)
             x = rng.standard_normal((b, length, c))
             upstream = rng.standard_normal(layer.forward(x, training=True).shape)
-            layer.zero_grad()
             dx = layer.backward(upstream)
             want_dw, want_dx = reference_conv_backward(x, layer.weights, upstream)
             if dx_exact:
@@ -362,7 +361,6 @@ class TestEmbedding:
 
     def test_repeated_ids_accumulate_gradient(self, rng):
         layer = Embedding(4, 2, rng)
-        layer.zero_grad()
         layer.forward(np.array([[1, 1, 1]]), training=True)
         layer.backward(np.ones((1, 3, 2)))
         assert np.allclose(layer.grad["table"][1], [3.0, 3.0])
@@ -378,7 +376,6 @@ class TestEmbedding:
         layer = Embedding(69, 13, rng)
         ids = rng.integers(0, 69, size=(64, 500))
         upstream = rng.standard_normal((64, 500, 13))
-        layer.zero_grad()
         layer.forward(ids, training=True)
         layer.backward(upstream)
         want = np.zeros((69, 13))
@@ -422,8 +419,6 @@ class TestEmbeddingConv1D:
         def loss_fn():
             return float(np.sum(fold.forward(ids, training=True) * w))
 
-        emb.zero_grad()
-        conv.zero_grad()
         fold.forward(ids, training=True)
         assert fold.backward(w) is None
         params = [emb.table, conv.weights, conv.bias]
@@ -438,13 +433,9 @@ class TestEmbeddingConv1D:
         ids = rng.integers(0, vocab, size=(batch, 400))
         upstream = rng.standard_normal((batch, 398, 64))
         assert fold.wins(*ids.shape)
-        emb.zero_grad()
-        conv.zero_grad()
         want = conv.forward(emb.forward(ids, training=True), training=True)
         emb.backward(conv.backward(upstream))
         want_grads = [g.copy() for g in pair_grads(emb, conv)]
-        emb.zero_grad()
-        conv.zero_grad()
         got = fold.forward(ids, training=True)
         fold.backward(upstream)
         assert relative_error(got, want) <= 1e-12

@@ -296,13 +296,23 @@ class TestForward:
         with pytest.raises(PipelineError, match="training forward"):
             model.backward(np.ones_like(out))
 
-    def test_zero_grad_clears_accumulators(self, rng):
-        model = build_model(tiny_stage1_spec())
-        out = model.forward(rng.integers(0, 12, size=(2, 12)), training=True)
-        model.backward(np.ones_like(out))
-        assert any(np.any(g != 0) for g in model.grads())
-        model.zero_grad()
-        assert all(np.all(g == 0) for g in model.grads())
+    @pytest.mark.parametrize("spec", [tiny_stage1_spec(), tiny_stage2_spec()],
+                             ids=["stage1", "stage2"])
+    def test_backward_writes_gradients(self, rng, spec):
+        # each backward holds the gradients of its own batch alone, so a
+        # second pass on the same batch leaves them as the first one did
+        model = build_model(spec)
+        ids = rng.integers(0, 12, size=(3, spec.input_length))
+
+        def one_pass():
+            out = model.forward(ids, training=True)
+            model.backward(np.ones_like(out))
+            return [g.copy() for g in model.grads()]
+
+        first = one_pass()
+        assert any(np.any(g != 0) for g in first)
+        for got, want in zip(one_pass(), first):
+            np.testing.assert_array_equal(got, want)
 
 
 def held_arrays(obj):
@@ -512,7 +522,7 @@ def test_conv_backward_stays_below_one_batch_patch_matrix():
     layer = Conv1D(c, f, k, rng)
     x = rng.standard_normal((b, length, c))
     upstream = rng.standard_normal(layer.forward(x, training=True).shape)
-    layer.zero_grad()
+    layer.grads()  # allocates the gradient buffers outside the trace
     patch_matrix = b * (length - k + 1) * c * k * 8
     tracemalloc.start()
     try:
@@ -539,7 +549,6 @@ def test_no_training_cache_outlives_a_step(stage):
 
     def step():
         _, dprobs = loss(targets, model.forward(ids, training=True))
-        model.zero_grad()
         model.backward(dprobs)
         optimizer.step(model.params(), model.grads())
 
@@ -590,7 +599,6 @@ class TestWholeModelGradients:
 
         probs = model.forward(ids, training=True)
         _, dprobs = loss_of_probs(probs)
-        model.zero_grad()
         model.backward(dprobs)
         err = gradient_check(loss_fn, model.params(), model.grads(),
                              max_coords=25, rng=np.random.default_rng(3))
