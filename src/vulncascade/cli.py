@@ -379,27 +379,29 @@ def cmd_scan(args) -> int:
             if parts:
                 units = [(f"{path}:{line} {name}()", part)
                          for name, line, part in parts]
+        normalized = [normalize(part, preserve=preserve) for _, part in units]
         # one batch per file: a unit's scores never depend on other files
-        ids, _ = encode_batch(
-            [normalize(part, preserve=preserve) for _, part in units],
-            vocab, stage1.spec.input_length)
+        ids, _ = encode_batch(normalized, vocab, stage1.spec.input_length)
         preds = predict_two_stage_encoded(stage1, stage2, label_map, ids,
                                           threshold=args.threshold)
-        for (label, _), pred in zip(units, preds):
-            findings.append((label, pred))
+        for (label, _), tokens, pred in zip(units, normalized, preds):
+            findings.append((label, len(tokens), pred))
             if not args.json:
                 print(_format_finding(label, pred, label_map))
 
-    vulnerable = sum(1 for _, p in findings
+    vulnerable = sum(1 for _, _, p in findings
                      if p.verdict is Verdict.VULNERABLE)
     if args.json:
+        # tokens counts a unit before the stage-1 window cuts it
         print(json.dumps({
             "findings": [
                 {"unit": label,
                  "verdict": p.verdict.value,
                  "stage1_probability": p.stage1_probability,
-                 "cwe": p.predicted_cwe}
-                for label, p in findings],
+                 "cwe": p.predicted_cwe,
+                 "tokens": tokens,
+                 "truncated": tokens > stage1.spec.input_length}
+                for label, tokens, p in findings],
             "vulnerable": vulnerable,
             "scanned": len(findings),
             "errors": errors,

@@ -373,8 +373,8 @@ class LSTM(Layer):
         outputs = np.zeros((b, length, h_dim))
         for t in range(length):
             z = x[:, t] @ self.w_in.T + h @ self.w_rec.T + self.bias
-            gi = sigmoid(z[:, 0 * h_dim:1 * h_dim])
-            gf = sigmoid(z[:, 1 * h_dim:2 * h_dim])
+            gif = sigmoid(z[:, :2 * h_dim])  # input and forget gates together
+            gi, gf = gif[:, :h_dim], gif[:, h_dim:]
             gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
             go = sigmoid(z[:, 3 * h_dim:4 * h_dim])
             c_new = gf * c + gi * gg

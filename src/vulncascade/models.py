@@ -19,6 +19,12 @@ every batch whose shape the fold's rule says it wins (V*D < B*L'*(D - 30),
 measured): stage 2 at its training, accuracy-pass and scan batches, never
 stage 1.  The two layers keep their own tensors and gradients, so the
 model's tensors, names and file bytes are those of the unfolded stack.
+
+An eval forward runs the layers before the first Flatten or LSTM (all of
+them position-wise and translation-invariant) only on the id columns that
+reach the first output position fed by PAD ids alone, then repeats that
+position to the full length: every such position holds the same vector.
+A training forward always reads every column.
 """
 
 from __future__ import annotations
@@ -191,14 +197,18 @@ class Model:
 
     fold, when set, runs the stack's first two layers (an Embedding feeding a
     Conv1D) as one EmbeddingConv1D for every batch whose shape it wins.
+    prefix is (index, length): the first Flatten or LSTM is layers[index]
+    and reads a sequence of that length; the layers before it are the ones
+    an eval forward runs on the live columns only.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
-                 fold: EmbeddingConv1D | None = None):
+                 fold: EmbeddingConv1D | None, prefix: tuple[int, int]):
         self.spec = spec
         self.layers = layers
         self.output_width = output_width
         self.fold = fold
+        self.prefix = prefix
         self.forward_calls = 0
         self.eval_samples = 0
         self._cached_training_forward = False
@@ -213,12 +223,45 @@ class Model:
         self.forward_calls += 1
         self.eval_samples += ids.shape[0]
         self._cached_training_forward = False
-        self._folded = self.fold is not None and self.fold.wins(*ids.shape)
-        h = self.fold.forward(ids, training=training) if self._folded else ids
-        for layer in self._unfolded():
+        n = ids.shape[1] if training else self._live_columns(ids)
+        self._folded = self.fold is not None and self.fold.wins(ids.shape[0], n)
+        h = ids[:, :n]
+        if self._folded:
+            h = self.fold.forward(h, training=training)
+        end, length = self.prefix
+        for layer in self.layers[2 if self._folded else 0:end]:
+            h = layer.forward(h, training=training)
+        if h.shape[1] < length:
+            # every position from the last one on saw PAD ids alone
+            h = np.pad(h, ((0, 0), (0, length - h.shape[1]), (0, 0)), mode="edge")
+        for layer in self.layers[end:]:
             h = layer.forward(h, training=training)
         self._cached_training_forward = training
         return h
+
+    def _live_columns(self, ids: np.ndarray) -> int:
+        """How many leading id columns an eval forward must read.
+
+        The layers before the prefix's end are position-wise and
+        translation-invariant, so every output position whose receptive
+        field holds PAD ids alone carries one vector, set by the parameters.
+        c follows the first such position from the first column after the
+        batch's last non-PAD id; the walk back gives the input length whose
+        output ends at c.
+        """
+        live = np.flatnonzero(ids.any(axis=0))
+        c = int(live[-1]) + 1 if live.size else 0
+        walk = self.layers[1:self.prefix[0]]
+        for layer in walk:
+            if isinstance(layer, MaxPool1D):
+                c = -(-c // layer.stride)
+        n = c + 1
+        for layer in reversed(walk):
+            if isinstance(layer, Conv1D):
+                n += layer.kernel_size - 1
+            elif isinstance(layer, MaxPool1D):
+                n = (n - 1) * layer.stride + layer.window
+        return min(n, ids.shape[1])
 
     def backward(self, upstream: np.ndarray) -> None:
         if not self._cached_training_forward:
@@ -270,7 +313,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
     from rng in layer order; with no rng the randomly initialized ones are
     left uninitialized, for a caller that fills every tensor."""
     layers: list[Layer] = [Embedding(spec.vocab_size, spec.embedding_dim, rng)]
-    fold = None
+    fold = prefix = None
     # shape state after the embedding: a (length, channels) sequence
     seq: tuple[int, int] | None = (spec.input_length, spec.embedding_dim)
     flat: int | None = None
@@ -307,6 +350,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if seq is None:
                 fail(i, ls, "lstm needs sequence input, got flat features")
             length, channels = seq
+            prefix = prefix or (len(layers), length)
             layers.append(LSTM(channels, ls.units, rng,
                                return_sequences=ls.return_sequences))
             if ls.return_sequences:
@@ -317,6 +361,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if seq is None:
                 fail(i, ls, "flatten needs sequence input, got flat features")
             length, channels = seq
+            prefix = prefix or (len(layers), length)
             layers.append(Flatten())
             seq, flat = None, length * channels
         elif isinstance(ls, DenseSpec):
@@ -334,7 +379,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
         raise IncompatibleSpecError(
             "network never reduces to flat features; it cannot feed a classifier head"
         )
-    return Model(spec, layers, output_width=flat, fold=fold)
+    return Model(spec, layers, output_width=flat, fold=fold, prefix=prefix)
 
 
 class Verdict(Enum):

@@ -15,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 from vulncascade import cli
 from vulncascade.archive import LABEL_BINARY, LABEL_CLASS, load_archive
 from vulncascade.cli import _reencode_rows, main
-from vulncascade.normalizer import TokenKind, split_functions, tokenize
+from vulncascade.normalizer import (
+    TokenKind,
+    normalize_source,
+    split_functions,
+    tokenize,
+)
 from vulncascade.serialize import load_model, save_model
 from vulncascade.vocab import Vocabulary
 
@@ -596,6 +601,21 @@ class TestScan:
         assert finding["verdict"] == "vulnerable"
         assert finding["cwe"].startswith("CWE-")
         assert 0.0 < finding["stage1_probability"] < 1.0
+
+    def test_json_reports_tokens_and_truncation(self, workspace, tmp_path, capsys):
+        # each "x = x + 1;" normalizes to six tokens: 611 in all, past the
+        # 500-id stage-1 window
+        grow = "int grow(int x) { " + "x = x + 1; " * 100 + "return x; }"
+        add = "int add(int a, int b) { return a + b; }"
+        source = tmp_path / "two.c"
+        source.write_text(grow + "\n" + add + "\n")
+        self.scan(workspace, "--per-function", "--json", str(source))
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        got = {f["unit"].split()[-1]: (f["tokens"], f["truncated"])
+               for f in findings}
+        assert got == {"grow()": (len(normalize_source(grow)), True),
+                       "add()": (len(normalize_source(add)), False)}
+        assert got["grow()"][0] > 500 > got["add()"][0]
 
     def test_directories_walked_in_sorted_order(self, workspace, tmp_path, capsys):
         root = tmp_path / "tree"

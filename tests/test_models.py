@@ -1,10 +1,12 @@
 """Model assembly, the two factory architectures, and the cascade decision."""
 
+import functools
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulncascade.dataset import LabelMap
 from vulncascade.errors import (
@@ -397,6 +399,160 @@ class TestFold:
         model.backward(np.ones_like(out))
         with pytest.raises(PipelineError, match="training forward"):
             model.backward(np.ones_like(out))
+
+
+def full_length_forward(model, ids, training=False):
+    """The reference eval forward: each layer's forward in turn, on every
+    column."""
+    h = ids
+    for layer in model.layers:
+        h = layer.forward(h, training=training)
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def trim_model(stage):
+    """A seeded production model over a 20-token vocabulary; stage 2's
+    running statistics are drawn, so its eval BatchNorm is not an identity."""
+    if stage == 1:
+        return build_model(stage1_spec(20), seed=1)
+    model = build_model(stage2_spec(20, 4), seed=2)
+    rng = np.random.default_rng(2)
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm1D):
+            layer.running_mean[:] = rng.normal(0.0, 0.1, layer.features)
+            layer.running_var[:] = rng.uniform(0.5, 2.0, layer.features)
+    return model
+
+
+def padded_ids(rng, batch, length, live, vocab=20):
+    """Rows of random non-PAD ids, right-padded; the first row fills live
+    columns, the others a random number up to live."""
+    ids = np.zeros((batch, length), dtype=np.int64)
+    for r in range(batch):
+        n = live if r == 0 else int(rng.integers(0, live + 1))
+        ids[r, :n] = rng.integers(1, vocab, size=n)
+    return ids
+
+
+def embedding_widths(model, monkeypatch):
+    """The id widths the model's first layer reads, folded or not."""
+    widths = []
+    for owner in (model.layers[0], model.fold):
+        if owner is None:
+            continue
+        forward = owner.forward
+
+        def spy(ids, training=False, forward=forward):
+            widths.append(np.shape(ids)[1])
+            return forward(ids, training=training)
+
+        monkeypatch.setattr(owner, "forward", spy)
+    return widths
+
+
+def sliding_pool_spec():
+    return ModelSpec(
+        stage=1, vocab_size=12, embedding_dim=4, input_length=40,
+        layers=(
+            ConvSpec(8, 5), ActivationSpec("relu"), PoolSpec(3, 2),
+            ConvSpec(6, 3), ActivationSpec("relu"), PoolSpec(3, 2),
+            FlattenSpec(),
+            DenseSpec(1), ActivationSpec("sigmoid"),
+        ),
+    )
+
+
+class TestTrimmedForward:
+    """An eval forward runs the layers before the first Flatten or LSTM on
+    the columns up to the batch's last non-PAD id, and copies the all-PAD
+    position into the tail."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage=st.sampled_from([1, 2]), batch=st.sampled_from([1, 5, 10]),
+           live=st.one_of(st.sampled_from([0, 1, 400, 500]),
+                          st.integers(0, 500)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_length_forward(self, stage, batch, live, seed):
+        model = trim_model(stage)
+        length = model.spec.input_length
+        ids = padded_ids(np.random.default_rng(seed), batch, length,
+                         min(live, length))
+        got = model.forward(ids)
+        np.testing.assert_allclose(got, full_length_forward(model, ids),
+                                   rtol=0.0, atol=1e-12)
+
+    # 24 live columns: the first all-PAD position is 24, 12 after the first
+    # pool and 6 after the second.  Back from 7 outputs: 14 before the
+    # second pool, 14 + k - 1 before its convolution, twice that before the
+    # first pool, and k - 1 more before the first convolution.
+    @pytest.mark.parametrize("stage, columns", [(1, 46), (2, 34)])
+    def test_short_rows_read_a_prefix(self, stage, columns, monkeypatch):
+        model = trim_model(stage)
+        widths = embedding_widths(model, monkeypatch)
+        model.forward(padded_ids(np.random.default_rng(0), 3,
+                                 model.spec.input_length, 24))
+        assert widths == [columns]
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_interior_pad_run_is_not_cut(self, stage, monkeypatch):
+        model = trim_model(stage)
+        ids = np.zeros((1, model.spec.input_length), dtype=np.int64)
+        ids[0, [0, 60]] = [5, 7]  # 59 PAD ids between two real ones
+        want = full_length_forward(model, ids)
+        widths = embedding_widths(model, monkeypatch)
+        got = model.forward(ids)
+        assert 60 < widths[0] < model.spec.input_length
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_id_in_the_last_column_reads_every_column(self, stage, monkeypatch):
+        model = trim_model(stage)
+        length = model.spec.input_length
+        ids = np.zeros((4, length), dtype=np.int64)
+        ids[0, :3] = [4, 5, 6]
+        ids[3, -1] = 9
+        want = full_length_forward(model, ids)
+        widths = embedding_widths(model, monkeypatch)
+        got = model.forward(ids)
+        assert widths == [length]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("bad", [20, -1])
+    def test_out_of_range_id_in_the_last_live_column_is_refused(self, stage, bad):
+        model = trim_model(stage)
+        ids = np.zeros((3, model.spec.input_length), dtype=np.int64)
+        ids[1, :6] = [1, 2, 3, 4, 5, bad]
+        with pytest.raises(IdOutOfRangeError):
+            model.forward(ids)
+
+    def test_sliding_window_pool(self, monkeypatch):
+        model = build_model(sliding_pool_spec(), seed=4)
+        rng = np.random.default_rng(4)
+        widths = embedding_widths(model, monkeypatch)
+        for live in range(41):
+            ids = padded_ids(rng, 3, 40, live, vocab=12)
+            got = model.forward(ids)
+            np.testing.assert_allclose(got, full_length_forward(model, ids),
+                                       rtol=0.0, atol=1e-12)
+        assert min(widths) < 40 and widths[-1] == 40
+
+    def test_training_runs_every_column(self):
+        # a training forward and backward read all 500 columns, bit for bit
+        # as the layers run in turn do
+        ids = padded_ids(np.random.default_rng(5), 4, 500, 24)
+        upstream = np.random.default_rng(6).standard_normal((4, 1))
+        model, reference = (build_model(stage1_spec(20), seed=1) for _ in range(2))
+        out = model.forward(ids, training=True)
+        model.backward(upstream)
+        want = full_length_forward(reference, ids, training=True)
+        grad = upstream
+        for layer in reversed(reference.layers):
+            grad = layer.backward(grad)
+        np.testing.assert_array_equal(out, want)
+        for got, expected in zip(model.grads(), reference.grads()):
+            np.testing.assert_array_equal(got, expected)
 
 
 def force_probability_half(stage1: Model) -> None:
