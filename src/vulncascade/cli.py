@@ -36,7 +36,6 @@ from .dataset import (
 )
 from .errors import (
     DivergenceError,
-    NonFiniteLossError,
     PipelineError,
     VocabHashMismatchError,
 )
@@ -504,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
             return args.func(args)
-    except (DivergenceError, NonFiniteLossError) as exc:
+    except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CliError, PipelineError, OSError, ValueError) as exc:

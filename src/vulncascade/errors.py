@@ -29,10 +29,6 @@ class NotNormalizedError(PipelineError):
     pass
 
 
-class NonFiniteLossError(PipelineError):
-    pass
-
-
 class NotEnoughPointsError(PipelineError):
     pass
 

@@ -40,8 +40,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -344,6 +343,13 @@ class LSTM(Layer):
     candidate, output]; that ordering is part of the serialized format.
     Initial hidden and cell state are zero.  Returns the full hidden sequence
     (B, L, H) or only the last step (B, H).
+
+    A forward multiplies by C-contiguous (D, 4H) and (H, 4H) copies of the
+    transposed weights, with the gate columns in [input, forget, output,
+    candidate] order, so one sigmoid covers three gates.  At a few rows
+    OpenBLAS multiplies by a transposed view 2-3x slower than by a
+    contiguous operand.  The copies live only inside the call: the
+    parameters, their file order and the training cache are unchanged.
     """
 
     PARAMS = ("w_in", "w_rec", "bias")
@@ -367,16 +373,19 @@ class LSTM(Layer):
             )
         b, length, _ = x.shape
         h_dim = self.units
+        order = np.r_[:2 * h_dim, 3 * h_dim:4 * h_dim, 2 * h_dim:3 * h_dim]
+        w_in = np.take(self.w_in.T, order, axis=1)  # one C-contiguous copy
+        w_rec = np.take(self.w_rec.T, order, axis=1)
+        bias = self.bias[order]
         h = np.zeros((b, h_dim))
         c = np.zeros((b, h_dim))
         steps = []
         outputs = np.zeros((b, length, h_dim))
         for t in range(length):
-            z = x[:, t] @ self.w_in.T + h @ self.w_rec.T + self.bias
-            gif = sigmoid(z[:, :2 * h_dim])  # input and forget gates together
-            gi, gf = gif[:, :h_dim], gif[:, h_dim:]
-            gg = np.tanh(z[:, 2 * h_dim:3 * h_dim])
-            go = sigmoid(z[:, 3 * h_dim:4 * h_dim])
+            z = x[:, t] @ w_in + h @ w_rec + bias
+            gates = sigmoid(z[:, :3 * h_dim])
+            gi, gf, go = gates[:, :h_dim], gates[:, h_dim:2 * h_dim], gates[:, 2 * h_dim:]
+            gg = np.tanh(z[:, 3 * h_dim:])
             c_new = gf * c + gi * gg
             tc = np.tanh(c_new)
             h_new = go * tc
@@ -429,7 +438,9 @@ class BatchNorm1D(Layer):
     Accepts (B, F) or (B, L, F); sequence input is normalized per channel over
     batch and time jointly.  Training mode uses batch statistics (biased
     variance) and updates the running estimates; eval mode uses the running
-    estimates only.
+    estimates only.  Both directions reuse their temporaries in place but
+    keep the operation order of the textbook formulas, so their results
+    equal those formulas' bit for bit.
     """
 
     PARAMS = ("gamma", "beta")
@@ -461,27 +472,39 @@ class BatchNorm1D(Layer):
                     "batch statistics need at least 2 rows in training mode"
                 )
             mean = flat.mean(axis=0)
-            var = flat.var(axis=0)
+            xhat = flat - mean
+            var = (xhat * xhat).sum(axis=0) / flat.shape[0]  # flat.var(axis=0)
             self.running_mean *= self.momentum
             self.running_mean += (1.0 - self.momentum) * mean
             self.running_var *= self.momentum
             self.running_var += (1.0 - self.momentum) * var
         else:
-            mean = self.running_mean
+            xhat = flat - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (flat - mean) * inv_std
-        self._cache = (xhat, inv_std, shape) if training else None
-        return (self.gamma * xhat + self.beta).reshape(shape)
+        xhat *= inv_std
+        if training:
+            self._cache = (xhat, inv_std, shape)
+            out = self.gamma * xhat
+        else:
+            self._cache = None
+            out = np.multiply(xhat, self.gamma, out=xhat)
+        out += self.beta
+        return out.reshape(shape)
 
     def backward(self, upstream):
+        """dx = gamma * inv_std * (dy - mean(dy) - xhat * mean(dy * xhat))."""
         (xhat, inv_std, shape), self._cache = self._cache, None
         dy = upstream.reshape(-1, self.features)
-        self.grad["gamma"][...] = (dy * xhat).sum(axis=0)
-        self.grad["beta"][...] = dy.sum(axis=0)
-        dx = self.gamma * inv_std * (
-            dy - dy.mean(axis=0) - xhat * (dy * xhat).mean(axis=0)
-        )
+        n = dy.shape[0]
+        sum_dy_xhat = (dy * xhat).sum(axis=0)
+        sum_dy = dy.sum(axis=0)
+        self.grad["gamma"][...] = sum_dy_xhat
+        self.grad["beta"][...] = sum_dy
+        dx = dy - sum_dy / n
+        xhat *= sum_dy_xhat / n  # the cache is spent: scale it in place
+        dx -= xhat
+        dx *= self.gamma * inv_std
         return dx.reshape(shape)
 
 

@@ -1,5 +1,4 @@
-"""The Adam update rule (Kingma and Ba 2015) and the finite-difference
-gradient checker.
+"""The Adam update rule (Kingma and Ba 2015).
 
 Both stages train with Adam.  It mutates parameter arrays in place; its
 moment tensors are allocated at the first step, one per array it is given,
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteLossError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 
 # Adam's moment decay rates and denominator guard: the defaults of Kingma
@@ -70,53 +69,3 @@ class Adam(Optimizer):
             m_hat = m / (1.0 - BETA1 ** t)
             v_hat = v / (1.0 - BETA2 ** t)
             p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
-
-
-def gradient_check(
-    loss_fn,
-    params: list[np.ndarray],
-    analytic_grads: list[np.ndarray],
-    step: float = 1e-5,
-    max_coords: int = 50,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn takes no arguments and evaluates the scalar loss at the current
-    parameter values; it must be deterministic.  For tensors larger than
-    max_coords a random subset of coordinates is probed.  Returns the maximum
-    relative error |a - n| / max(|a|, |n|, 1e-12) across probed coordinates.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for p, a in zip(params, analytic_grads):
-        if p.shape != a.shape:
-            raise ShapeMismatchError(
-                f"parameter shape {p.shape} != gradient shape {a.shape}"
-            )
-        flat = p.ravel()
-        n = flat.size
-        if n > max_coords:
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = np.arange(n)
-        a_flat = a.ravel()
-        for idx in coords:
-            original = flat[idx]
-            flat[idx] = original + step
-            f_plus = float(loss_fn())
-            flat[idx] = original - step
-            f_minus = float(loss_fn())
-            flat[idx] = original
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NonFiniteLossError(
-                    f"loss not finite near coordinate {idx} of shape {p.shape}"
-                )
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            analytic = float(a_flat[idx])
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -11,7 +11,52 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from vulncascade.optim import gradient_check
+from vulncascade.errors import ShapeMismatchError  # noqa: E402
+
+
+def gradient_check(loss_fn, params, analytic_grads, step=1e-5, max_coords=50,
+                   rng=None):
+    """Compare analytic gradients against central finite differences.
+
+    loss_fn takes no arguments and evaluates the scalar loss at the current
+    parameter values; it must be deterministic.  For tensors larger than
+    max_coords a random subset of coordinates is probed.  Returns the maximum
+    relative error |a - n| / max(|a|, |n|, 1e-12) across probed coordinates.
+    A loss that is not finite at a probe raises FloatingPointError.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    worst = 0.0
+    for p, a in zip(params, analytic_grads):
+        if p.shape != a.shape:
+            raise ShapeMismatchError(
+                f"parameter shape {p.shape} != gradient shape {a.shape}"
+            )
+        flat = p.ravel()
+        n = flat.size
+        if n > max_coords:
+            coords = rng.choice(n, size=max_coords, replace=False)
+        else:
+            coords = np.arange(n)
+        a_flat = a.ravel()
+        for idx in coords:
+            original = flat[idx]
+            flat[idx] = original + step
+            f_plus = float(loss_fn())
+            flat[idx] = original - step
+            f_minus = float(loss_fn())
+            flat[idx] = original
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise FloatingPointError(
+                    f"loss not finite near coordinate {idx} of shape {p.shape}"
+                )
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            analytic = float(a_flat[idx])
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
+            worst = max(worst, err)
+    return worst
 
 
 def layer_grad_error(layer, x, seed=0, training=True, check_input=True,

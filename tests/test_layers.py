@@ -25,9 +25,8 @@ from vulncascade.layers import (
     sigmoid,
     softmax,
 )
-from vulncascade.optim import gradient_check
 
-from conftest import layer_grad_error
+from conftest import gradient_check, layer_grad_error
 
 
 # Reference copies of the sliding-window pool, the tensordot convolution
@@ -76,6 +75,54 @@ def reference_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def two_divide_sigmoid(x):
+    """The sigmoid as 1 / (1 + e) for x >= 0 and e / (1 + e) below, with
+    e = exp(-|x|): two divides, where layers.sigmoid takes one."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def hand_lstm(layer, x):
+    """(B, L, H) hidden sequence of an LSTM, one sample and one step at a
+    time, with the gate blocks in the file's [i, f, g, o] row order."""
+    h_dim = layer.units
+    out = np.zeros(x.shape[:2] + (h_dim,))
+    for b in range(x.shape[0]):
+        h = np.zeros(h_dim)
+        c = np.zeros(h_dim)
+        for t in range(x.shape[1]):
+            z = layer.w_in @ x[b, t] + layer.w_rec @ h + layer.bias
+            gi = two_divide_sigmoid(z[:h_dim])
+            gf = two_divide_sigmoid(z[h_dim:2 * h_dim])
+            gg = np.tanh(z[2 * h_dim:3 * h_dim])
+            go = two_divide_sigmoid(z[3 * h_dim:])
+            c = gf * c + gi * gg
+            h = go * np.tanh(c)
+            out[b, t] = h
+    return out
+
+
+def textbook_batchnorm(layer, x, upstream):
+    """Training forward and backward of BatchNorm1D as the textbook formulas
+    read, one temporary per operation: y, xhat, running mean and variance,
+    dx, dgamma, dbeta.  Reads the layer's gamma, beta, momentum and eps, and
+    its running statistics before the step."""
+    flat = x.reshape(-1, x.shape[-1])
+    mean, var = flat.mean(axis=0), flat.var(axis=0)
+    m = layer.momentum
+    running_mean = layer.running_mean * m + (1.0 - m) * mean
+    running_var = layer.running_var * m + (1.0 - m) * var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (flat - mean) * inv_std
+    y = (layer.gamma * xhat + layer.beta).reshape(x.shape)
+    dy = upstream.reshape(flat.shape)
+    dx = layer.gamma * inv_std * (
+        dy - dy.mean(axis=0) - xhat * (dy * xhat).mean(axis=0))
+    return (y, xhat, running_mean, running_var, dx.reshape(x.shape),
+            (dy * xhat).sum(axis=0), dy.sum(axis=0))
 
 
 def naive_conv1d(x, weights, bias):
@@ -277,6 +324,34 @@ class TestLSTM:
             hh = go * np.tanh(cc)
             assert np.max(np.abs(out[0, t] - hh)) < 1e-12
 
+    @pytest.mark.parametrize("batch", [1, 2, 5, 8, 32])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_matches_hand_equations_in_file_gate_order(self, batch,
+                                                       return_sequences):
+        # the forward reorders the gate columns inside the call; a bias that
+        # differs per gate block catches a block read in the wrong order
+        rng = np.random.default_rng(batch)
+        layer = LSTM(12, 7, rng, return_sequences=return_sequences)
+        layer.bias[:] = rng.uniform(-1.0, 1.0, layer.bias.shape)
+        x = rng.standard_normal((batch, 6, 12))
+        want = hand_lstm(layer, x)
+        if not return_sequences:
+            want = want[:, -1]
+        for training in (False, True):
+            got = layer.forward(x, training=training)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_forward_leaves_parameters_unchanged(self, rng):
+        layer = LSTM(6, 5, rng, return_sequences=True)
+        layer.bias[:] = rng.uniform(-1.0, 1.0, layer.bias.shape)
+        before = {name: arr.tobytes() for name, arr in layer.params()}
+        x = rng.standard_normal((3, 4, 6))
+        layer.forward(x)
+        layer.forward(x, training=True)
+        after = {name: arr.tobytes() for name, arr in layer.params()}
+        assert after == before
+
     def test_return_sequences_shapes(self, rng):
         x = np.zeros((4, 6, 3))
         assert LSTM(3, 5, rng, return_sequences=True).forward(x).shape == (4, 6, 5)
@@ -327,6 +402,28 @@ class TestBatchNorm:
         assert y.shape == x.shape
         flat = y.reshape(-1, 4)
         assert np.max(np.abs(flat.mean(axis=0))) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 9, 5), (32, 197, 128)])
+    def test_training_step_is_the_textbook_formulas_bit_for_bit(self, rng, shape):
+        layer = BatchNorm1D(shape[-1])
+        layer.gamma[:] = rng.uniform(0.5, 2.0, size=shape[-1])
+        layer.beta[:] = rng.standard_normal(shape[-1])
+        layer.running_mean[:] = rng.standard_normal(shape[-1])
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        upstream = rng.standard_normal(shape)
+        want = textbook_batchnorm(layer, x, upstream)
+        y = layer.forward(x, training=True)
+        xhat = layer._cache[0].copy()
+        dx = layer.backward(upstream)
+        got = (y, xhat, layer.running_mean, layer.running_var, dx,
+               layer.grad["gamma"], layer.grad["beta"])
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        # eval: the running statistics in place of the batch's
+        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        flat = x.reshape(-1, shape[-1])
+        want_eval = layer.gamma * ((flat - layer.running_mean) * inv_std) + layer.beta
+        assert layer.forward(x).tobytes() == want_eval.reshape(shape).tobytes()
 
     def test_batch_of_one_rejected_in_training(self):
         layer = BatchNorm1D(2)
@@ -499,6 +596,15 @@ class TestActivation:
                 got = sigmoid(x)
             want = reference_sigmoid(x)
             np.testing.assert_array_equal(got, want)
+
+    def test_sigmoid_is_the_two_divide_formula_bit_for_bit(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0,
+                            1000.0, -1000.0, tiny, -tiny, 1e-310, -1e-310,
+                            2.2e-308, -2.2e-308])
+        dense = np.random.default_rng(5).standard_normal(10 ** 6) * 30.0
+        for x in (special, dense):
+            assert sigmoid(x).tobytes() == two_divide_sigmoid(x).tobytes()
 
     def test_softmax_rows_sum_to_one(self, rng):
         a = Activation("softmax")

@@ -44,8 +44,10 @@ from vulncascade.models import (
     stage2_spec,
 )
 from vulncascade.losses import bce_loss, cce_loss
-from vulncascade.optim import Adam, gradient_check
+from vulncascade.optim import Adam
 from vulncascade.vocab import Vocabulary
+
+from conftest import gradient_check
 
 
 def tiny_stage1_spec(vocab_size=12):
