@@ -21,6 +21,7 @@ from .errors import (
     CorpusFormatError,
     EmptyCorpusError,
     NoVulnerableSamplesError,
+    SpecCorruptError,
     TooFewSamplesError,
 )
 
@@ -76,9 +77,16 @@ class LabelMap:
 
     @classmethod
     def load(cls, path) -> "LabelMap":
+        """SpecCorruptError unless the file holds what save writes."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls(data["classes"])
+        classes = data.get("classes") if isinstance(data, dict) else None
+        if (not isinstance(classes, list) or not classes
+                or not all(isinstance(c, str) for c in classes)
+                or len(set(classes)) != len(classes)):
+            raise SpecCorruptError(
+                f'{path}: "classes" must be a non-empty list of distinct CWE strings')
+        return cls(classes)
 
 
 def parse_corpus_line(line: str) -> CorpusSample:

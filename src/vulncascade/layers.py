@@ -222,10 +222,13 @@ GATHER_COST = 30
 
 
 class EmbeddingConv1D:
-    """An Embedding feeding a Conv1D, run as k table lookups.
+    """An Embedding feeding a Conv1D, run as k table lookups where that wins.
 
-    With ids (B, L), the (V, D) table and (F, D, k) weights, each tap j has
-    the (V, F) product P_j = table @ W[:, :, j].T, and
+    It stands first in the stack a Model runs, in place of the pair, and
+    picks its path per call: a forward runs folded where wins() says so and
+    the two layers in turn otherwise; its backward takes the same path.
+    Folded, with ids (B, L), the (V, D) table and (F, D, k) weights, each
+    tap j has the (V, F) product P_j = table @ W[:, :, j].T, and
         out[b, t] = bias + sum_j P_j[ids[b, t + j]].
     Backward sums the upstream by the id at offset j into dP_j (the
     Embedding's bincount), then dW[:, :, j] = dP_j.T @ table and
@@ -239,6 +242,7 @@ class EmbeddingConv1D:
         self.embedding = embedding
         self.conv = conv
         self._ids = None
+        self._folded = False
 
     def wins(self, batch: int, length: int) -> bool:
         """Whether the fold is cheaper than the pair at this batch shape.
@@ -254,6 +258,9 @@ class EmbeddingConv1D:
         return self.embedding.vocab_size * d < rows * (d - GATHER_COST)
 
     def forward(self, ids, training: bool = False):
+        self._folded = self.wins(*np.shape(ids))
+        if not self._folded:
+            return self.conv.forward(self.embedding.forward(ids, training), training)
         ids = self.embedding.check_ids(ids)
         k = self.conv.kernel_size
         l_out = ids.shape[1] - k + 1
@@ -267,6 +274,8 @@ class EmbeddingConv1D:
         return out
 
     def backward(self, upstream):
+        if not self._folded:
+            return self.embedding.backward(self.conv.backward(upstream))
         ids, self._ids = self._ids, None
         emb, conv = self.embedding, self.conv
         k, l_out = conv.kernel_size, upstream.shape[1]

@@ -14,11 +14,12 @@ pooling), an LSTM returning its full sequence (100 cells) feeding a second
 LSTM reduced to its last step (10 cells), then dense 100 -> C with softmax.
 
 _assemble pairs an embedding with a convolution that directly follows it
-into a layers.EmbeddingConv1D, and Model.forward runs the pair folded for
-every batch whose shape the fold's rule says it wins (V*D < B*L'*(D - 30),
-measured): stage 2 at its training, accuracy-pass and scan batches, never
-stage 1.  The two layers keep their own tensors and gradients, so the
-model's tensors, names and file bytes are those of the unfolded stack.
+into a layers.EmbeddingConv1D, the first entry of the stack Model runs.  It
+picks its path per call: folded for every batch whose shape its rule says it
+wins (V*D < B*L'*(D - 30), measured), stage 2 at its training, accuracy-pass
+and scan batches; the two layers in turn otherwise, always for stage 1.  The
+two layers keep their own tensors and gradients, so the model's tensors,
+names and file bytes are those of the declared layers.
 
 An eval forward runs the layers before the first Flatten or LSTM (all of
 them position-wise and translation-invariant) only on the id columns that
@@ -195,8 +196,9 @@ def stage2_spec(vocab_size: int, num_classes: int) -> ModelSpec:
 class Model:
     """An ordered layer stack materialized from a ModelSpec.
 
-    fold, when set, runs the stack's first two layers (an Embedding feeding a
-    Conv1D) as one EmbeddingConv1D for every batch whose shape it wins.
+    layers own the tensors; stack is what forward and backward run.  When
+    the first two layers are an Embedding feeding a Conv1D, fold (their
+    EmbeddingConv1D) is the stack's first entry and picks its path per call.
     prefix is (index, length): the first Flatten or LSTM is layers[index]
     and reads a sequence of that length; the layers before it are the ones
     an eval forward runs on the live columns only.
@@ -208,11 +210,13 @@ class Model:
         self.layers = layers
         self.output_width = output_width
         self.fold = fold
+        self.stack = layers if fold is None else [fold, *layers[2:]]
         self.prefix = prefix
+        # the prefix's end in stack indices: the fold stands for two layers
+        self._stack_end = prefix[0] - (fold is not None)
         self.forward_calls = 0
         self.eval_samples = 0
         self._cached_training_forward = False
-        self._folded = False
 
     def forward(self, ids: np.ndarray, training: bool = False) -> np.ndarray:
         ids = np.asarray(ids)
@@ -224,17 +228,14 @@ class Model:
         self.eval_samples += ids.shape[0]
         self._cached_training_forward = False
         n = ids.shape[1] if training else self._live_columns(ids)
-        self._folded = self.fold is not None and self.fold.wins(ids.shape[0], n)
         h = ids[:, :n]
-        if self._folded:
-            h = self.fold.forward(h, training=training)
-        end, length = self.prefix
-        for layer in self.layers[2 if self._folded else 0:end]:
+        end, length = self._stack_end, self.prefix[1]
+        for layer in self.stack[:end]:
             h = layer.forward(h, training=training)
         if h.shape[1] < length:
             # every position from the last one on saw PAD ids alone
             h = np.pad(h, ((0, 0), (0, length - h.shape[1]), (0, 0)), mode="edge")
-        for layer in self.layers[end:]:
+        for layer in self.stack[end:]:
             h = layer.forward(h, training=training)
         self._cached_training_forward = training
         return h
@@ -271,15 +272,8 @@ class Model:
         # each layer drops its cache as it reads it, so a second backward
         # needs a second training forward
         self._cached_training_forward = False
-        grad = upstream
-        for layer in reversed(self._unfolded()):
-            grad = layer.backward(grad)
-        if self._folded:
-            self.fold.backward(grad)
-
-    def _unfolded(self) -> list[Layer]:
-        """The layers the last forward ran one at a time."""
-        return self.layers[2:] if self._folded else self.layers
+        for layer in reversed(self.stack):
+            upstream = layer.backward(upstream)
 
     def params(self) -> list[np.ndarray]:
         return [arr for layer in self.layers for _, arr in layer.params()]

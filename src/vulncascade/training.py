@@ -55,9 +55,6 @@ class TrainResult:
     epochs: list[EpochLog] = field(default_factory=list)
     stopped_early: bool = False
 
-    def final_accuracy(self) -> float:
-        return self.epochs[-1].accuracy if self.epochs else 0.0
-
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)

@@ -44,10 +44,8 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    # one token per line; the line number is the id
+    # one token per line; the line number is the id.  Tokens may hold other
+    # line breaks (U+2028, \x85, \x1c ...), so load splits on "\n" alone
     def to_text(self) -> str:
         return "\n".join(self.id_to_token) + "\n"
 
@@ -58,7 +56,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().splitlines()
+            tokens = fh.read().removesuffix("\n").split("\n")
         return cls(tokens)
 
     def content_hash(self) -> str:

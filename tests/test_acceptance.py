@@ -323,7 +323,7 @@ def test_criterion_5_stage1_overfit():
     config = TrainConfig(batch_size=64, epochs=200,
                          learning_rate=0.005, seed=0, stop_at_accuracy=1.0)
     result = train(model, ids, labels, config)
-    assert result.final_accuracy() == 1.0
+    assert result.epochs[-1].accuracy == 1.0
     assert len(result.epochs) <= 200
     assert time.monotonic() - started < 300.0
 
@@ -353,7 +353,7 @@ def test_criterion_6_stage2_overfit():
                          learning_rate=0.001, seed=0, smote=True, smote_k=2,
                          stop_at_accuracy=0.95)
     result = train(model, ids, labels, config)
-    assert result.final_accuracy() >= 0.95
+    assert result.epochs[-1].accuracy >= 0.95
     assert len(result.epochs) <= 100
     assert time.monotonic() - started < 600.0
 

@@ -429,6 +429,40 @@ class TestTrain:
                   "--out", str(tmp_path / "m.vcmd")])
         assert info.value.code == 2
 
+    def test_tokens_holding_other_line_breaks_train(self, tmp_path):
+        # the lexer keeps each of these as a one-character punctuator, so
+        # vocab.txt holds them and must load back as it was written
+        breaks = "\u2028\u2029\x85\x1c\x1d\x1e"
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            for i in range(4):
+                code = f"int g{i}(int a) {{ return a {' '.join(breaks)} + 1; }}"
+                fh.write(json.dumps({"code": code, "vulnerable": 0}) + "\n")
+        data = tmp_path / "data"
+        assert main(["preprocess", "--corpus", str(corpus),
+                     "--out-dir", str(data)]) == 0
+        assert all(ch in Vocabulary.load(data / "vocab.txt").token_to_id
+                   for ch in breaks)
+        assert main(["train", "--stage", "1", "--data", str(data),
+                     "--out", str(tmp_path / "m.vcmd"), "--epochs", "1"]) == 0
+
+    @pytest.mark.parametrize("text", ['{"labels": []}', '["CWE-1"]',
+                                      '{"classes": [1, 2, 3, 4, 5]}',
+                                      '{"classes": []}',
+                                      '{"classes": ["CWE-1", "CWE-1"]}'])
+    def test_malformed_label_map_is_refused_before_training(
+            self, workspace, tmp_path, capsys, text):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "label_map.json").write_text(text)
+        out = tmp_path / "m.vcmd"
+        assert main(["train", "--stage", "2", "--data", str(data),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "label_map.json" in err
+        assert not out.exists()
+
 
 # (--stage1 file, --stage2 file, the flag refused, the stage it found):
 # doubled and swapped pairs

@@ -393,6 +393,20 @@ class TestFold:
         assert (2, 400, 300) not in shapes
         assert ids.shape in shapes  # the fold's one cache
 
+    def test_training_step_the_fold_loses_runs_the_pair(self):
+        # V*D = 120,000 >= B*L'*270 = 107,460 at one row: output and every
+        # gradient are those of the declared layers run in turn, bit for bit
+        ids = np.random.default_rng(7).integers(0, 400, size=(1, 400))
+        upstream = np.random.default_rng(8).standard_normal((1, 3))
+        model, reference = (build_model(stage2_spec(400, 3), seed=4) for _ in range(2))
+        assert not model.fold.wins(*ids.shape)
+        out = model.forward(ids, training=True)
+        model.backward(upstream)
+        want = layerwise_training_step(reference, ids, upstream)
+        np.testing.assert_array_equal(out, want)
+        for got, expected in zip(model.grads(), reference.grads()):
+            np.testing.assert_array_equal(got, expected)
+
     def test_second_backward_is_refused(self, rng):
         model = build_model(folding_stage2_spec())
         ids = rng.integers(0, 6, size=(2, 10))
@@ -410,6 +424,15 @@ def full_length_forward(model, ids, training=False):
     for layer in model.layers:
         h = layer.forward(h, training=training)
     return h
+
+
+def layerwise_training_step(model, ids, upstream):
+    """The reference training step: each layer's training forward in turn,
+    on every column, then each layer's backward in reverse."""
+    out = full_length_forward(model, ids, training=True)
+    for layer in reversed(model.layers):
+        upstream = layer.backward(upstream)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,18 +461,17 @@ def padded_ids(rng, batch, length, live, vocab=20):
 
 
 def embedding_widths(model, monkeypatch):
-    """The id widths the model's first layer reads, folded or not."""
+    """The id widths the first entry of the model's stack reads: the fold,
+    whichever path it takes, or the Embedding where there is no fold."""
     widths = []
-    for owner in (model.layers[0], model.fold):
-        if owner is None:
-            continue
-        forward = owner.forward
+    first = model.stack[0]
+    forward = first.forward
 
-        def spy(ids, training=False, forward=forward):
-            widths.append(np.shape(ids)[1])
-            return forward(ids, training=training)
+    def spy(ids, training=False):
+        widths.append(np.shape(ids)[1])
+        return forward(ids, training=training)
 
-        monkeypatch.setattr(owner, "forward", spy)
+    monkeypatch.setattr(first, "forward", spy)
     return widths
 
 
@@ -548,10 +570,7 @@ class TestTrimmedForward:
         model, reference = (build_model(stage1_spec(20), seed=1) for _ in range(2))
         out = model.forward(ids, training=True)
         model.backward(upstream)
-        want = full_length_forward(reference, ids, training=True)
-        grad = upstream
-        for layer in reversed(reference.layers):
-            grad = layer.backward(grad)
+        want = layerwise_training_step(reference, ids, upstream)
         np.testing.assert_array_equal(out, want)
         for got, expected in zip(model.grads(), reference.grads()):
             np.testing.assert_array_equal(got, expected)

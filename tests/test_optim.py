@@ -47,7 +47,7 @@ class TestAdam:
 
 
 class TestFactory:
-    """The checks of the Optimizer base class, through Adam."""
+    """Adam's checks of its learning rate and of the lists it is given."""
 
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from vulncascade.models import (
 )
 from vulncascade.training import (
     TrainConfig,
-    TrainResult,
     accuracy_of,
     predict_batched,
     train,
@@ -97,7 +96,7 @@ class TestBinaryTraining:
         cfg = TrainConfig(batch_size=4, epochs=60, learning_rate=0.01,
                           seed=0, stop_at_accuracy=1.0)
         result = train(model, ids, labels, cfg)
-        assert result.final_accuracy() == 1.0
+        assert result.epochs[-1].accuracy == 1.0
 
     def test_loss_decreases(self):
         ids, labels = binary_task()
@@ -186,7 +185,7 @@ class TestMulticlassTraining:
         cfg = TrainConfig(batch_size=9, epochs=120, learning_rate=0.01,
                           seed=0, stop_at_accuracy=1.0)
         result = train(model, ids, labels, cfg)
-        assert result.final_accuracy() == 1.0
+        assert result.epochs[-1].accuracy == 1.0
 
     def test_smote_balances_before_training(self):
         # 6 majority + 3 minority; balancing doubles the minority so one
@@ -245,6 +244,3 @@ class TestEvaluationHelpers:
         model = build_model(binary_spec(), seed=0)
         acc = accuracy_of(model, ids, labels)
         assert 0.0 <= acc <= 1.0
-
-    def test_final_accuracy_empty(self):
-        assert TrainResult().final_accuracy() == 0.0

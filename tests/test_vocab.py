@@ -37,7 +37,7 @@ class TestBuild:
 
     def test_min_freq_drops_rare(self):
         v = build_vocab([["a", "a", "b"]], min_freq=2)
-        assert "a" in v and "b" not in v
+        assert "a" in v.token_to_id and "b" not in v.token_to_id
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
@@ -50,7 +50,8 @@ class TestBuild:
     def test_accepts_normalized_samples(self):
         # normalize returns a plain token list, which build_vocab counts
         v = build_vocab([normalize_source("x = y(1);")])
-        assert "VAR0" in v and "FUNC0" in v and "NUMBER" in v
+        ids = v.token_to_id
+        assert "VAR0" in ids and "FUNC0" in ids and "NUMBER" in ids
 
     def test_bad_min_freq(self):
         with pytest.raises(ValueError):
@@ -132,6 +133,15 @@ class TestPersistence:
         v.save(path)
         again = Vocabulary.load(path)
         assert again.id_to_token == v.id_to_token
+
+    def test_tokens_holding_other_line_breaks_round_trip(self, tmp_path):
+        # the lexer keeps each of these as a one-character punctuator
+        v = make_vocab(["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "a"])
+        path = tmp_path / "vocab.txt"
+        v.save(path)
+        again = Vocabulary.load(path)
+        assert again.id_to_token == v.id_to_token
+        assert again.content_hash() == v.content_hash()
 
     def test_file_is_one_token_per_line(self, tmp_path):
         v = make_vocab(["a", "b"])
