@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .dataset import (
     CorpusSample,
     LabelMap,
-    SplitSpec,
     build_label_map,
     class_stats,
     load_corpus,
@@ -42,7 +41,6 @@ __all__ = [
     "PipelineError",
     "Prediction",
     "SmoteConfig",
-    "SplitSpec",
     "TrainConfig",
     "TrainResult",
     "Verdict",

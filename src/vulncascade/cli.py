@@ -9,6 +9,7 @@ writes a JSON run manifest next to its outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -27,8 +28,8 @@ from .archive import (
     save_archive,
 )
 from .dataset import (
+    TRAIN_FRACTION,
     LabelMap,
-    SplitSpec,
     build_label_map,
     class_stats,
     load_corpus,
@@ -64,9 +65,10 @@ from .vocab import Vocabulary, build_vocab, decode, encode, encode_batch
 
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".h")
 
-STAGE_DEFAULTS = {
-    1: {"batch_size": 64, "epochs": 10, "learning_rate": 0.005},
-    2: {"batch_size": 32, "epochs": 50, "learning_rate": 0.001},
+# the paper's recipe for each stage; --epochs and --seed are the overrides
+STAGE_TRAINING = {
+    1: TrainConfig(batch_size=64, epochs=10, learning_rate=0.005),
+    2: TrainConfig(batch_size=32, epochs=50, learning_rate=0.001, smote=True),
 }
 
 
@@ -115,15 +117,14 @@ def cmd_preprocess(args) -> int:
         print(f"warning: {args.corpus}:{diag.line_no}: {diag.message}",
               file=sys.stderr)
 
-    spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
-    train_set, test_set = split(samples, spec)
+    train_set, test_set = split(samples, args.seed)
     label_map = build_label_map(samples)
 
     subsets = (("train", train_set), ("test", test_set))
     normalized = {name: [normalize_source(s.code, preserve=preserve)
                          for s in subset]
                   for name, subset in subsets}
-    vocab = build_vocab(normalized["train"], min_freq=args.min_freq)
+    vocab = build_vocab(normalized["train"])
 
     os.makedirs(args.out_dir, exist_ok=True)
     vocab_path = os.path.join(args.out_dir, "vocab.txt")
@@ -164,15 +165,13 @@ def cmd_preprocess(args) -> int:
     else:
         print(stats.format_table())
         print(f"split: {len(train_set)} train / {len(test_set)} test"
-              f" (fraction {spec.train_fraction}, seed {spec.seed})")
+              f" (fraction {TRAIN_FRACTION}, seed {args.seed})")
         print(f"vocabulary: {vocab.size} tokens, hash {vhash[:12]}")
         print(f"classes: {len(label_map)}")
 
     _write_manifest(
         args, os.path.join(args.out_dir, "preprocess_manifest.json"),
-        {"seed": args.seed, "train_fraction": args.train_fraction,
-         "min_freq": args.min_freq,
-         "preserve_api_names": args.preserve_api_names},
+        {"seed": args.seed, "preserve_api_names": args.preserve_api_names},
         [args.corpus], outputs, started)
     return 0
 
@@ -184,21 +183,10 @@ def _train_paths(data_dir: str, stage: int) -> tuple[str, str]:
 
 def cmd_train(args) -> int:
     started = time.time()
-    defaults = STAGE_DEFAULTS[args.stage]
-
-    def flag(name):
-        # only an omitted flag takes the stage default; an explicit 0
-        # reaches TrainConfig, which rejects it
-        value = getattr(args, name)
-        return defaults[name] if value is None else value
-
-    config = TrainConfig(
-        batch_size=flag("batch_size"),
-        epochs=flag("epochs"),
-        learning_rate=flag("learning_rate"),
-        seed=args.seed,
-        smote=args.smote if args.smote is not None else args.stage == 2,
-    )
+    overrides = {"seed": args.seed}
+    if args.epochs is not None:  # an explicit 0 reaches TrainConfig, which rejects it
+        overrides["epochs"] = args.epochs
+    config = dataclasses.replace(STAGE_TRAINING[args.stage], **overrides)
 
     train_path, _ = _train_paths(args.data, args.stage)
     arch = load_archive(train_path)
@@ -209,7 +197,9 @@ def cmd_train(args) -> int:
     if args.stage == 1:
         spec = stage1_spec(vocab.size)
     else:
-        label_map = LabelMap.load(os.path.join(args.data, "label_map.json"))
+        label_path = os.path.join(args.data, "label_map.json")
+        label_map = LabelMap.load(label_path)
+        _check_classes(label_path, label_map, train_path, arch)
         spec = stage2_spec(vocab.size, len(label_map))
     if arch.max_len != spec.input_length:
         raise CliError(
@@ -249,12 +239,19 @@ def _check_hash(ours: str, theirs: str) -> None:
         raise VocabHashMismatchError(ours, theirs)
 
 
+def _check_classes(label_source: str, label_map: LabelMap,
+                   archive_path: str, arch: EncodedArchive) -> None:
+    if len(label_map) != arch.num_classes:
+        raise CliError(f"{label_source} names {len(label_map)} classes, but "
+                       f"{archive_path} holds {arch.num_classes}")
+
+
 def _reencode_rows(rows: np.ndarray, vocab: Vocabulary, max_len: int) -> np.ndarray:
     """Map stage-1 encoded rows onto the stage-2 input length by decoding
     and re-encoding; exact because the id-to-token mapping round-trips."""
     out = np.zeros((rows.shape[0], max_len), dtype=np.int64)
     for i, row in enumerate(rows):
-        out[i] = encode(decode(row, vocab), vocab, max_len).ids
+        out[i] = encode(decode(row, vocab), vocab, max_len)
     return out
 
 
@@ -271,6 +268,7 @@ def cmd_evaluate(args) -> int:
         _, test2_path = _train_paths(args.data, 2)
         arch2 = load_archive(test2_path)
         _check_hash(header2.vocab_hash, arch2.vocab_hash)
+        _check_classes(f"--stage2 {args.stage2}", label_map, test2_path, arch2)
         vuln_rows = np.flatnonzero(arch1.labels == 1)
         if vuln_rows.shape[0] != arch2.count:
             raise CliError(
@@ -444,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--min-freq", type=int, default=1)
     p.add_argument("--preserve-api-names", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_preprocess)
@@ -454,14 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smote", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="balance stage-2 classes before training"
-                        " (default: on for stage 2)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score saved models on the test split")

@@ -27,6 +27,9 @@ from .errors import (
 
 _CWE_RE = re.compile(r"^CWE-\d+$")
 
+# each class's share of the training split
+TRAIN_FRACTION = 0.8
+
 
 @dataclass
 class CorpusSample:
@@ -40,16 +43,6 @@ class CorpusSample:
 class LineDiagnostic:
     line_no: int  # 1-based
     message: str
-
-
-@dataclass
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
 class LabelMap:
@@ -77,9 +70,12 @@ class LabelMap:
 
     @classmethod
     def load(cls, path) -> "LabelMap":
-        """SpecCorruptError unless the file holds what save writes."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        """SpecCorruptError, naming the file, unless it holds what save writes."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or bad JSON
+            raise SpecCorruptError(f"{path}: {exc}") from exc
         classes = data.get("classes") if isinstance(data, dict) else None
         if (not isinstance(classes, list) or not classes
                 or not all(isinstance(c, str) for c in classes)
@@ -170,17 +166,17 @@ def _strat_key(sample: CorpusSample) -> str:
 
 
 def split(
-    samples: list[CorpusSample], spec: SplitSpec
+    samples: list[CorpusSample], seed: int = 42
 ) -> tuple[list[CorpusSample], list[CorpusSample]]:
     """Disjoint, exhaustive train/test partition with a seeded shuffle.
 
     The partition is stratified: each class (CWE for vulnerable samples, one
     shared bucket for clean ones) is split on its own, so per-class
-    proportions stay within one sample of the requested fraction.
+    proportions stay within one sample of TRAIN_FRACTION.
     """
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 samples to split")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     train: list[CorpusSample] = []
     test: list[CorpusSample] = []
     buckets: dict[str, list[int]] = {}
@@ -189,7 +185,7 @@ def split(
     for key in sorted(buckets):
         idx = np.array(buckets[key])
         rng.shuffle(idx)
-        n_train = int(round(spec.train_fraction * len(idx)))
+        n_train = int(round(TRAIN_FRACTION * len(idx)))
         if len(idx) >= 2:
             n_train = min(max(n_train, 1), len(idx) - 1)
         train.extend(samples[i] for i in idx[:n_train])

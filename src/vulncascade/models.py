@@ -442,6 +442,6 @@ def predict_two_stage(
 ) -> Prediction:
     """Normalize raw source, encode it at the stage-1 length, and cascade."""
     tokens = normalize_source(source, preserve=preserve)
-    ids = encode(tokens, vocab, stage1.spec.input_length).ids
+    ids = encode(tokens, vocab, stage1.spec.input_length)
     return predict_two_stage_encoded(stage1, stage2, label_map, ids[None, :],
                                      threshold)[0]

@@ -10,25 +10,16 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpusError, IdOutOfRangeError
+from .errors import EmptyCorpusError, IdOutOfRangeError, SpecCorruptError
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
 PAD_ID = 0
 UNK_ID = 1
-
-
-@dataclass
-class EncodedSample:
-    """Fixed-length id sequence; positions >= true_length are padding."""
-
-    ids: np.ndarray  # int32, shape (max_len,)
-    true_length: int
 
 
 class Vocabulary:
@@ -55,23 +46,24 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().removesuffix("\n").split("\n")
-        return cls(tokens)
+        """SpecCorruptError, naming the file, unless it holds what save writes."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls(fh.read().removesuffix("\n").split("\n"))
+        except ValueError as exc:  # undecodable bytes or a rejected token list
+            raise SpecCorruptError(f"{path}: {exc}") from exc
 
     def content_hash(self) -> str:
         """sha256 over the canonical file serialization, as hex."""
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
-def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:
-    """Count tokens across a corpus and keep those seen at least min_freq times.
+def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
+    """Count tokens across a corpus and give every one of them an id.
 
     Ids are assigned by descending frequency, ties broken lexicographically.
     Raises EmptyCorpusError when the corpus has no samples at all.
     """
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
     counts: Counter[str] = Counter()
     n_samples = 0
     for sample in corpus:
@@ -79,15 +71,14 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabular
         counts.update(sample)
     if n_samples == 0:
         raise EmptyCorpusError("cannot build a vocabulary from zero samples")
-    kept = [t for t, c in counts.items() if c >= min_freq]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
+    ordered = sorted(counts, key=lambda t: (-counts[t], t))
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + ordered)
 
 
-def encode(sample: Sequence[str], vocab: Vocabulary, max_len: int) -> EncodedSample:
-    """Map tokens to ids, truncating to the first max_len and right-padding."""
-    ids, lengths = encode_batch([sample], vocab, max_len)
-    return EncodedSample(ids=ids[0], true_length=int(lengths[0]))
+def encode(sample: Sequence[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Map tokens to a (max_len,) int32 id row, truncating to the first
+    max_len and right-padding."""
+    return encode_batch([sample], vocab, max_len)[0][0]
 
 
 def encode_batch(
@@ -109,10 +100,8 @@ def encode_batch(
     return ids, lengths
 
 
-def decode(ids: EncodedSample | Sequence[int] | np.ndarray, vocab: Vocabulary) -> list[str]:
+def decode(ids: Sequence[int] | np.ndarray, vocab: Vocabulary) -> list[str]:
     """Inverse of encode up to padding removal and unknown-token loss."""
-    if isinstance(ids, EncodedSample):
-        ids = ids.ids
     out = []
     for raw in np.asarray(ids).ravel():
         i = int(raw)

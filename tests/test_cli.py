@@ -1,8 +1,10 @@
 """Command line pipeline: preprocess, train, evaluate, scan, smote-report."""
 
+import argparse
 import importlib.util
 import json
 import os
+import re
 import shutil
 import sys
 import time
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from vulncascade import cli
 from vulncascade.archive import LABEL_BINARY, LABEL_CLASS, load_archive
 from vulncascade.cli import _reencode_rows, main
+from vulncascade.dataset import LabelMap
+from vulncascade.models import build_model, stage2_spec
 from vulncascade.normalizer import (
     TokenKind,
     normalize_source,
@@ -311,6 +315,20 @@ class TestPreprocess:
         assert main(["preprocess", "--corpus", str(corpus),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("removed", [["--train-fraction", "0.9"],
+                                         ["--min-freq", "2"]])
+    def test_removed_options_are_usage_errors(self, workspace, tmp_path, capsys,
+                                              removed):
+        # the split is a stratified 80/20 and the vocabulary keeps every
+        # training token; the options that chose otherwise are gone
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["preprocess", "--corpus", str(workspace["corpus"]),
+                  "--out-dir", str(out), *removed])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def load_demo_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_corpus.py"
@@ -340,6 +358,18 @@ def test_stage2_ids_are_a_prefix_of_stage1_ids(tmp_path, capsys):
                                       _reencode_rows(arch.ids, vocab, 400))
         truncated += int(np.sum(arch.true_lengths == 500))
     assert truncated == 2
+
+
+# (file, bytes written over it): a duplicated token, no sentinels, bytes
+# that are not UTF-8, JSON cut short
+DAMAGED_FILES = [
+    pytest.param("vocab.txt", b"<PAD>\n<UNK>\nint\nint\n", id="vocab-duplicate"),
+    pytest.param("vocab.txt", b"int\nreturn\n", id="vocab-no-sentinels"),
+    pytest.param("vocab.txt", b"\xff<PAD>\n<UNK>\n", id="vocab-not-utf8"),
+    pytest.param("label_map.json", b'{\n  "classes": [\n   ', id="labels-truncated"),
+    pytest.param("label_map.json", b'{"classes": ["CWE-121\xff"]}',
+                 id="labels-not-utf8"),
+]
 
 
 class TestTrain:
@@ -398,8 +428,7 @@ class TestTrain:
         assert main(["train", "--stage", "1", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m.vcmd")]) == 2
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size",
-                                      "--learning-rate"])
+    @pytest.mark.parametrize("flag", ["--epochs"])
     def test_zero_is_rejected_not_defaulted(self, workspace, tmp_path, capsys,
                                             flag):
         out = tmp_path / "m.vcmd"
@@ -410,11 +439,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("removed", [["--optimizer", "adam"], ["--clip"],
                                          ["--stage1-head", "sigmoid"],
-                                         ["--stage2-head", "softmax"]])
+                                         ["--stage2-head", "softmax"],
+                                         ["--batch-size", "64"],
+                                         ["--learning-rate", "0.005"],
+                                         ["--smote"], ["--no-smote"]])
     def test_removed_options_are_usage_errors(self, workspace, tmp_path, capsys,
                                               removed):
         # both stages train with Adam, a sigmoid detector head and a softmax
-        # classifier head; the options that chose otherwise are gone
+        # classifier head, each at its own batch size and learning rate, and
+        # stage 2 alone with SMOTE; the options that chose otherwise are gone
         out = tmp_path / "m.vcmd"
         with pytest.raises(SystemExit) as info:
             main(["train", "--stage", "1", "--data", str(workspace["data"]),
@@ -461,6 +494,38 @@ class TestTrain:
                      "--out", str(out), "--epochs", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "label_map.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, content", DAMAGED_FILES)
+    def test_damaged_vocab_or_label_map_is_named(self, workspace, tmp_path,
+                                                 capsys, name, content):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / name).write_bytes(content)
+        out = tmp_path / "m.vcmd"
+        assert main(["train", "--stage", "2", "--data", str(data),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data / name}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes", [
+        ["CWE-121", "CWE-190"],
+        ["CWE-476", "CWE-190", "CWE-121", "CWE-787"],
+    ])
+    def test_label_map_of_another_class_count_is_refused(
+            self, workspace, tmp_path, capsys, classes):
+        # too few classes would fail inside train(); too many would train a
+        # model whose outputs the archive's labels never reach
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "label_map.json").write_text(json.dumps({"classes": classes}))
+        out = tmp_path / "m.vcmd"
+        assert main(["train", "--stage", "2", "--data", str(data),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {data / 'label_map.json'} names {len(classes)} classes, "
+                f"but {data / 'stage2_train.vcen'} holds 3") in captured.err
         assert not out.exists()
 
 
@@ -572,6 +637,21 @@ class TestEvaluate:
                      "--stage2", str(unlabeled_s2),
                      "--data", str(workspace["data"])])
         assert_no_label_map_refused(code, capsys)
+
+    def test_stage2_model_of_another_class_count_is_refused(self, workspace,
+                                                            tmp_path, capsys):
+        model, header = load_model(str(workspace["s2"]))
+        wider = build_model(stage2_spec(model.spec.vocab_size, 4), seed=0)
+        path = tmp_path / "wider_s2.vcmd"
+        save_model(wider, str(path), header.vocab_hash,
+                   LabelMap(header.label_classes + ["CWE-787"]))
+        code = main(["evaluate", "--stage1", str(workspace["s1"]),
+                     "--stage2", str(path), "--data", str(workspace["data"])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        test2 = workspace["data"] / "stage2_test.vcen"
+        assert f"--stage2 {path} names 4 classes, but {test2} holds 3" in captured.err
 
     def test_threshold_outside_unit_interval_is_usage_error(self, workspace, capsys):
         stage2 = ["--stage2", str(workspace["s2"])]
@@ -808,6 +888,38 @@ class TestManifests:
         assert main() == 0
         manifest = json.loads((tmp_path / "preprocess_manifest.json").read_text())
         assert manifest["argv"] == preprocess
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def subcommand_options():
+    """The option strings of each vulncascade subcommand, by its name."""
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return {name: {opt for action in p._actions for opt in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_flags_match_the_parser():
+    options = subcommand_options()
+    text = README.read_text(encoding="utf-8")
+    # an inline span that holds one flag alone, like `--per-function`
+    spans = set(re.findall(r"`(--[\w-]+)`", text))
+    assert spans and spans <= set().union(*options.values()), spans
+    # a code-block line that runs a subcommand, joined across trailing
+    # backslashes, uses only that subcommand's options
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("vulncascade ")]
+    assert lines
+    for line in lines:
+        command, *words = line.split()[1:]
+        assert command in options, line
+        flags = {w.split("=")[0] for w in words if w.startswith("-")}
+        assert flags <= options[command], line
 
 
 class TestTopLevel:

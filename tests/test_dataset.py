@@ -6,7 +6,6 @@ import pytest
 from vulncascade.dataset import (
     CorpusSample,
     LabelMap,
-    SplitSpec,
     build_label_map,
     class_stats,
     load_corpus,
@@ -145,7 +144,7 @@ def corpus_for_split(n_clean=20, cwe_counts=(10, 5)):
 class TestSplit:
     def test_sizes_and_disjointness(self):
         samples = corpus_for_split()
-        train, test = split(samples, SplitSpec())
+        train, test = split(samples, 42)
         assert len(train) + len(test) == len(samples)
         train_ids = {s.source_id for s in train}
         test_ids = {s.source_id for s in test}
@@ -153,7 +152,7 @@ class TestSplit:
 
     def test_stratified_fractions(self):
         samples = corpus_for_split(n_clean=50, cwe_counts=(30, 20))
-        train, test = split(samples, SplitSpec(train_fraction=0.8, seed=42))
+        train, test = split(samples, 42)
         for key, total in (("CWE-100", 30), ("CWE-101", 20)):
             got = sum(1 for s in train if s.cwe == key)
             assert got == round(0.8 * total)
@@ -161,27 +160,22 @@ class TestSplit:
 
     def test_deterministic_for_seed(self):
         samples = corpus_for_split()
-        a = split(samples, SplitSpec(seed=42))
-        b = split(samples, SplitSpec(seed=42))
+        a = split(samples, 42)
+        b = split(samples, 42)
         assert [s.source_id for s in a[0]] == [s.source_id for s in b[0]]
-        c = split(samples, SplitSpec(seed=43))
+        c = split(samples, 43)
         assert [s.source_id for s in a[0]] != [s.source_id for s in c[0]]
 
     def test_tiny_buckets_keep_one_sample_each_side(self):
         samples = corpus_for_split(n_clean=2, cwe_counts=(2,))
-        train, test = split(samples, SplitSpec(train_fraction=0.9))
+        # round(0.8 * 2) == 2 puts both clean samples in train before the clamp
+        train, test = split(samples, 42)
         assert any(not s.vulnerable for s in train)
         assert any(not s.vulnerable for s in test)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
-            split([CorpusSample("x", 0, None, "")], SplitSpec())
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec(train_fraction=0.0)
-        with pytest.raises(ValueError):
-            SplitSpec(train_fraction=1.0)
+            split([CorpusSample("x", 0, None, "")], 42)
 
 
 class TestStats:

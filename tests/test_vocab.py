@@ -35,10 +35,6 @@ class TestBuild:
         v = build_vocab([["z", "m", "a"]])
         assert v.id_to_token[2:] == ["a", "m", "z"]
 
-    def test_min_freq_drops_rare(self):
-        v = build_vocab([["a", "a", "b"]], min_freq=2)
-        assert "a" in v.token_to_id and "b" not in v.token_to_id
-
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
             build_vocab([])
@@ -52,10 +48,6 @@ class TestBuild:
         v = build_vocab([normalize_source("x = y(1);")])
         ids = v.token_to_id
         assert "VAR0" in ids and "FUNC0" in ids and "NUMBER" in ids
-
-    def test_bad_min_freq(self):
-        with pytest.raises(ValueError):
-            build_vocab([["a"]], min_freq=0)
 
     def test_missing_sentinels_rejected(self):
         with pytest.raises(ValueError):
@@ -71,19 +63,17 @@ class TestBuild:
 class TestEncode:
     def test_basic(self):
         v = make_vocab(["int", "VAR0", ";"])
-        enc = encode(["int", "VAR0", ";"], v, 6)
-        assert enc.ids.tolist() == [2, 3, 4, 0, 0, 0]
-        assert enc.true_length == 3
+        assert encode(["int", "VAR0", ";"], v, 6).tolist() == [2, 3, 4, 0, 0, 0]
+        assert encode_batch([["int", "VAR0", ";"]], v, 6)[1].tolist() == [3]
 
     def test_unknown_maps_to_unk(self):
         v = make_vocab(["int"])
-        assert encode(["wat"], v, 2).ids.tolist() == [UNK_ID, 0]
+        assert encode(["wat"], v, 2).tolist() == [UNK_ID, 0]
 
     def test_truncates_prefix(self):
         v = make_vocab(["a", "b", "c"])
-        enc = encode(["a", "b", "c"], v, 2)
-        assert enc.ids.tolist() == [2, 3]
-        assert enc.true_length == 2
+        assert encode(["a", "b", "c"], v, 2).tolist() == [2, 3]
+        assert encode_batch([["a", "b", "c"]], v, 2)[1].tolist() == [2]
 
     def test_bad_max_len(self):
         v = make_vocab(["a"])
@@ -123,7 +113,7 @@ class TestDecode:
         # the same id; this keeps decode/re-encode exact for the cascade
         tokens = decode(encode(["mystery"], v, 3), v)
         assert tokens == [UNK_TOKEN]
-        assert encode(tokens, v, 3).ids.tolist() == encode(["mystery"], v, 3).ids.tolist()
+        assert encode(tokens, v, 3).tolist() == encode(["mystery"], v, 3).tolist()
 
 
 class TestPersistence:
@@ -169,9 +159,8 @@ token_lists = st.lists(
 def test_encode_decode_round_trip_property(corpus):
     v = build_vocab(corpus)
     for tokens in corpus:
-        enc = encode(tokens, v, 32)
-        assert decode(enc, v) == tokens[:32]
-        assert enc.true_length == min(len(tokens), 32)
+        assert decode(encode(tokens, v, 32), v) == tokens[:32]
+        assert encode_batch([tokens], v, 32)[1].tolist() == [min(len(tokens), 32)]
 
 
 @settings(max_examples=100, deadline=None)
