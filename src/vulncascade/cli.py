@@ -63,7 +63,7 @@ from .smote import SmoteConfig, class_histogram, group_by_class, oversample
 from .training import TrainConfig, train
 from .vocab import Vocabulary, build_vocab, decode, encode, encode_batch
 
-SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".h")
+SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp", ".hxx")
 
 # the paper's recipe for each stage; --epochs and --seed are the overrides
 STAGE_TRAINING = {
@@ -223,14 +223,11 @@ def cmd_train(args) -> int:
 
 
 def _load_stage(path: str, stage: int):
-    """load_model, refusing a file that holds the other stage's model or a
-    stage-2 model that cannot name its classes."""
+    """load_model, refusing a file that holds the other stage's model."""
     model, header = load_model(path)
-    if header.stage != stage:
-        raise CliError(f"--stage{stage} {path} holds a stage-{header.stage} model, "
-                       f"not a stage-{stage} one")
-    if stage == 2 and header.label_map() is None:
-        raise CliError("stage-2 model carries no label map")
+    if model.spec.stage != stage:
+        raise CliError(f"--stage{stage} {path} holds a stage-{model.spec.stage} "
+                       f"model, not a stage-{stage} one")
     return model, header
 
 
@@ -264,7 +261,7 @@ def cmd_evaluate(args) -> int:
     if args.stage2:
         stage2, header2 = _load_stage(args.stage2, 2)
         _check_hash(header2.vocab_hash, arch1.vocab_hash)
-        label_map = header2.label_map()
+        label_map = header2.label_map
         _, test2_path = _train_paths(args.data, 2)
         arch2 = load_archive(test2_path)
         _check_hash(header2.vocab_hash, arch2.vocab_hash)
@@ -356,7 +353,7 @@ def cmd_scan(args) -> int:
     _check_hash(header1.vocab_hash, header2.vocab_hash)
     vocab = Vocabulary.load(args.vocab)
     _check_hash(vocab.content_hash(), header1.vocab_hash)
-    label_map = header2.label_map()
+    label_map = header2.label_map
     preserve = _load_preserve(args.preserve_api_names)
 
     findings = []

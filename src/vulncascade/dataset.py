@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -203,14 +203,7 @@ class ClassStats:
     cwe_ratio: float = 0.0  # largest / smallest CWE class
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "non_vulnerable": self.non_vulnerable,
-            "vulnerable": self.vulnerable,
-            "per_cwe": dict(sorted(self.per_cwe.items())),
-            "binary_ratio": self.binary_ratio,
-            "cwe_ratio": self.cwe_ratio,
-        }
+        return {**asdict(self), "per_cwe": dict(sorted(self.per_cwe.items()))}
 
     def format_table(self) -> str:
         lines = [

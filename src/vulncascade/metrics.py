@@ -9,7 +9,7 @@ which doubles as a self-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,17 +45,12 @@ class ClassScore:
 @dataclass
 class Scores:
     accuracy: float
-    per_class: list[ClassScore]
     macro_f1: float
     micro_f1: float
+    per_class: list[ClassScore]
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "per_class": [vars(s) for s in self.per_class],
-        }
+        return asdict(self)
 
     def format_table(self, class_names: list[str] | None = None) -> str:
         lines = [f"{'class':<12} {'precision':>9} {'recall':>9} {'f1':>9}"]
@@ -102,4 +97,4 @@ def scores(matrix: np.ndarray) -> Scores:
     tp_sum, fp_sum, fn_sum = tp.sum(), fp.sum(), fn.sum()
     micro_denom = 2 * tp_sum + fp_sum + fn_sum
     micro_f1 = 2 * tp_sum / micro_denom if micro_denom > 0 else 0.0
-    return Scores(accuracy, per_class, macro_f1, float(micro_f1))
+    return Scores(accuracy, macro_f1, float(micro_f1), per_class)

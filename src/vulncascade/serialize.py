@@ -3,7 +3,8 @@
 The header carries format_version, stage, the full architecture spec, the
 vocabulary content hash and the label map, so a loaded model can refuse
 mismatched inputs.  The spec must end in its stage's head (a sigmoid
-detector or a softmax classifier); no other output is loaded.  The payload
+detector or a softmax classifier); no other output is loaded.  A stage-2
+model names its classes and a stage-1 model names none.  The payload
 is every persistent tensor in declared layer order, each as u8 ndim, u32
 extents, then float64 values.  Deserializing and re-serializing is
 byte-exact, and a loaded model reproduces the saved model's predictions
@@ -28,14 +29,10 @@ FORMAT_VERSION = 2
 
 @dataclass
 class ModelHeader:
-    format_version: int
-    stage: int
-    spec: ModelSpec
+    """What a model file says beyond its spec (model.spec); label_map is set
+    for a stage-2 model and None for a stage-1 one."""
     vocab_hash: str
-    label_classes: list[str] | None
-
-    def label_map(self) -> LabelMap | None:
-        return LabelMap(tuple(self.label_classes)) if self.label_classes else None
+    label_map: LabelMap | None
 
 
 def _pack_tensors(model: Model) -> bytearray:
@@ -56,6 +53,9 @@ def save_model(
     """Write the model; a spec that load_model would refuse is refused here,
     before the file is opened."""
     _check_head(model.spec)
+    if (label_map is None) != (model.spec.stage == 1):
+        raise ValueError(f"a stage-{model.spec.stage} model "
+                         f"{'needs a' if label_map is None else 'takes no'} label map")
     if label_map is not None and len(label_map) != model.output_width:
         raise ValueError(f"label map of {len(label_map)} classes for a model "
                          f"of {model.output_width} outputs")
@@ -100,6 +100,9 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
     if not isinstance(vocab_hash, str) or len(vocab_hash) != 64:
         raise SpecCorruptError(f"model header vocab_hash is {vocab_hash!r}")
     classes = header_raw["label_classes"]
+    if (classes is None) != (stage == 1):
+        raise SpecCorruptError(f"model header label_classes {classes!r} at stage "
+                               f"{stage}; stage 2 names its classes, stage 1 none")
     if classes is not None and not (
             isinstance(classes, list) and len(classes) == model.output_width
             and all(isinstance(c, str) for c in classes)
@@ -122,6 +125,5 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
     if pos != len(payload):
         raise SpecCorruptError(f"{len(payload) - pos} trailing payload bytes")
 
-    header = ModelHeader(format_version=FORMAT_VERSION, stage=stage, spec=spec,
-                         vocab_hash=vocab_hash, label_classes=classes)
-    return model, header
+    label_map = LabelMap(classes) if classes is not None else None
+    return model, ModelHeader(vocab_hash, label_map)

@@ -29,6 +29,7 @@ from vulncascade.serialize import load_model, save_model
 from vulncascade.vocab import Vocabulary
 
 from c_snippets import SNIPPETS
+from conftest import edit_header, reseal
 
 CLEAN_BODIES = [
     "int add(int a, int b) { return a + b; }",
@@ -83,10 +84,12 @@ def workspace(tmp_path_factory):
 
 @pytest.fixture
 def unlabeled_s2(workspace, tmp_path):
-    """The workspace's stage-2 model saved without a label map."""
-    model, header = load_model(str(workspace["s2"]))
+    """The workspace's stage-2 model with its label map forged to null and
+    the file resealed; save_model refuses to write one."""
+    out = edit_header(workspace["s2"].read_bytes(),
+                      lambda h: h.update(label_classes=None))
     path = tmp_path / "unlabeled_s2.vcmd"
-    save_model(model, str(path), header.vocab_hash)
+    path.write_bytes(reseal(out[:-32]))
     return path
 
 
@@ -94,7 +97,7 @@ def assert_no_label_map_refused(code, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "stage-2 model carries no label map" in captured.err
+    assert "label_classes None at stage 2" in captured.err
 
 
 def texts(tokens):
@@ -375,18 +378,18 @@ DAMAGED_FILES = [
 class TestTrain:
     def test_stage1_output(self, workspace):
         model, header = load_model(str(workspace["s1"]))
-        assert header.stage == 1
+        assert model.spec.stage == 1
         assert model.spec.input_length == 500
-        assert header.label_classes is None
+        assert header.label_map is None
         manifest = json.loads(
             (workspace["work"] / "s1.vcmd.manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["config"]["stage"] == 1
 
     def test_stage2_output_carries_label_map(self, workspace):
-        _, header = load_model(str(workspace["s2"]))
-        assert header.stage == 2
-        assert header.label_classes == ["CWE-121", "CWE-190", "CWE-476"]
+        model, header = load_model(str(workspace["s2"]))
+        assert model.spec.stage == 2
+        assert header.label_map.classes == ["CWE-121", "CWE-190", "CWE-476"]
 
     def test_training_log_printed(self, workspace, tmp_path, capsys):
         out = tmp_path / "m.vcmd"
@@ -644,7 +647,7 @@ class TestEvaluate:
         wider = build_model(stage2_spec(model.spec.vocab_size, 4), seed=0)
         path = tmp_path / "wider_s2.vcmd"
         save_model(wider, str(path), header.vocab_hash,
-                   LabelMap(header.label_classes + ["CWE-787"]))
+                   LabelMap(header.label_map.classes + ["CWE-787"]))
         code = main(["evaluate", "--stage1", str(workspace["s1"]),
                      "--stage2", str(path), "--data", str(workspace["data"])])
         captured = capsys.readouterr()
@@ -689,6 +692,15 @@ class TestScan:
         assert text.count("VULNERABLE") == 2  # two source files, .txt skipped
         assert "CWE-" in text
         assert "2 vulnerable" in text
+
+    def test_every_cpp_suffix_is_scanned(self, workspace, tree, capsys):
+        (tree / "shapes.hpp").write_text("int area(int w, int h) { return w * h; }\n")
+        (tree / "vec.cxx").write_text("int dot(int a, int b) { return a * b; }\n")
+        assert self.scan(workspace, "--json", str(tree)) in (0, 1)
+        units = [f["unit"] for f in json.loads(capsys.readouterr().out)["findings"]]
+        # sorted walk; notes.txt is still skipped
+        assert units == [str(tree / name) for name in
+                         ("buffer.cpp", "math_ops.c", "shapes.hpp", "vec.cxx")]
 
     def test_high_threshold_flags_nothing(self, workspace, tree, capsys):
         code = self.scan(workspace, "--threshold", "0.999999999", str(tree))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vulncascade.dataset import (
+    ClassStats,
     CorpusSample,
     LabelMap,
     build_label_map,
@@ -194,3 +195,10 @@ class TestStats:
     def test_as_dict_round_trips_through_json(self):
         stats = class_stats(corpus_for_split())
         assert json.loads(json.dumps(stats.as_dict()))["total"] == stats.total
+
+    def test_as_dict_key_order(self):
+        # preprocess --json prints these keys in this order, per_cwe sorted
+        out = ClassStats(total=3, vulnerable=3, per_cwe={"CWE-9": 1, "CWE-10": 2}).as_dict()
+        assert list(out) == ["total", "non_vulnerable", "vulnerable", "per_cwe",
+                             "binary_ratio", "cwe_ratio"]
+        assert list(out["per_cwe"]) == ["CWE-10", "CWE-9"]

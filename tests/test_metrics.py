@@ -107,6 +107,13 @@ class TestScores:
         blob = json.dumps(s.as_dict())
         assert "macro_f1" in blob
 
+    def test_as_dict_key_order(self):
+        # evaluate --json prints these keys in this order
+        out = scores(confusion([0, 1], [1, 1], num_classes=2)).as_dict()
+        assert list(out) == ["accuracy", "macro_f1", "micro_f1", "per_class"]
+        assert [list(c) for c in out["per_class"]] == [
+            ["precision", "recall", "f1", "undefined"]] * 2
+
     def test_table_marks_undefined_rows(self):
         s = scores(confusion([0, 0], [0, 1], num_classes=2))
         table = s.format_table(["clean", "CWE-121"])

@@ -1,6 +1,8 @@
 """Model container round trips and resistance to damaged files."""
 
+import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -28,6 +30,13 @@ from vulncascade.errors import PipelineError
 from vulncascade.serialize import FORMAT_VERSION, MODEL_MAGIC, load_model, save_model
 
 VOCAB_HASH = "ab" * 32
+CLASSES = ["CWE-121", "CWE-787", "CWE-20", "CWE-416"]
+
+
+def tiny_stage1_model():
+    return build_model(ModelSpec(
+        stage=1, vocab_size=3, embedding_dim=2, input_length=3,
+        layers=(FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))))
 
 
 def small_spec():
@@ -57,7 +66,7 @@ def trained_model(rng):
 @pytest.fixture
 def saved(tmp_path, trained_model):
     path = tmp_path / "model.vcmd"
-    lm = LabelMap(["CWE-121", "CWE-787", "CWE-20", "CWE-416"])
+    lm = LabelMap(CLASSES)
     save_model(trained_model, str(path), VOCAB_HASH, label_map=lm)
     return path, trained_model, lm
 
@@ -87,14 +96,13 @@ class TestRoundTrip:
                 assert np.any(t != 0) or "mean" not in n
 
     def test_header_fields(self, saved):
+        # the stage and the spec are read from the loaded model alone
         path, model, lm = saved
-        _, header = load_model(str(path))
-        assert header.format_version == FORMAT_VERSION == 2
-        assert header.stage == 2
-        assert header.spec == model.spec
+        loaded, header = load_model(str(path))
+        assert loaded.spec == model.spec
+        assert [f.name for f in dataclasses.fields(header)] == ["vocab_hash", "label_map"]
         assert header.vocab_hash == VOCAB_HASH
-        assert header.label_classes == lm.classes
-        assert header.label_map().classes == lm.classes
+        assert header.label_map.classes == lm.classes
 
     def test_load_draws_nothing_and_holds_no_gradients(self, saved, rng, monkeypatch):
         path, model, _ = saved
@@ -107,17 +115,16 @@ class TestRoundTrip:
         loaded.forward(rng.integers(0, 9, size=(2, 10)))
         assert not any("grad" in vars(layer) for layer in loaded.layers)
 
-    def test_no_label_map(self, tmp_path, trained_model):
+    def test_no_label_map(self, tmp_path):
         path = tmp_path / "m.vcmd"
-        save_model(trained_model, str(path), VOCAB_HASH)
+        save_model(tiny_stage1_model(), str(path), VOCAB_HASH)
         _, header = load_model(str(path))
-        assert header.label_classes is None
-        assert header.label_map() is None
+        assert header.label_map is None
 
     def test_save_is_deterministic(self, tmp_path, trained_model):
         p1, p2 = tmp_path / "a.vcmd", tmp_path / "b.vcmd"
-        save_model(trained_model, str(p1), VOCAB_HASH)
-        save_model(trained_model, str(p2), VOCAB_HASH)
+        save_model(trained_model, str(p1), VOCAB_HASH, LabelMap(CLASSES))
+        save_model(trained_model, str(p2), VOCAB_HASH, LabelMap(CLASSES))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_reserialization_is_byte_exact(self, saved, tmp_path):
@@ -206,11 +213,12 @@ class TestDamage:
             load_model(rewrite(path, out))
 
     def test_every_header_byte_flip_is_rejected(self, tmp_path):
+        # stage 2, so that the header holds label_classes bytes to flip
         model = build_model(ModelSpec(
-            stage=1, vocab_size=3, embedding_dim=2, input_length=3,
-            layers=(FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))))
+            stage=2, vocab_size=3, embedding_dim=2, input_length=3,
+            layers=(FlattenSpec(), DenseSpec(2), ActivationSpec("softmax"))))
         path = tmp_path / "tiny.vcmd"
-        save_model(model, str(path), VOCAB_HASH, label_map=LabelMap(["CWE-121"]))
+        save_model(model, str(path), VOCAB_HASH, label_map=LabelMap(["CWE-121", "CWE-7"]))
         blob = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, 4)
         for i in range(8, 8 + header_len):
@@ -240,23 +248,23 @@ class TestDamage:
         with pytest.raises(ChecksumMismatchError):
             load_model(rewrite(path, blob[:-1]))
 
-    def test_spec_payload_mismatch(self, tmp_path, trained_model):
-        # header advertises a wider dense layer than the payload carries
-        path = tmp_path / "m.vcmd"
-        save_model(trained_model, str(path), VOCAB_HASH)
+    def test_spec_payload_mismatch(self, saved):
+        # header advertises a wider dense layer, and a label map to match,
+        # than the payload carries
+        path, _, _ = saved
 
         def widen(header):
             for entry in header["spec"]["layers"]:
                 if entry["type"] == "dense":
                     entry["units"] = 7
+            header["label_classes"] = [f"CWE-{i}" for i in range(7)]
 
         out = edit_header(path.read_bytes(), widen)
         with pytest.raises(SpecCorruptError, match="shape"):
             load_model(rewrite(path, reseal(out[:-32])))
 
-    def test_trailing_payload_bytes(self, tmp_path, trained_model):
-        path = tmp_path / "m.vcmd"
-        save_model(trained_model, str(path), VOCAB_HASH)
+    def test_trailing_payload_bytes(self, saved):
+        path, _, _ = saved
         blob = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, 4)
         body = 8 + header_len
@@ -293,6 +301,7 @@ class TestHeaderFields:
         ("label_classes", ["CWE-121", "CWE-787", "CWE-20", 416]),
         ("label_classes", []),
         ("label_classes", "CWE-121"),
+        ("label_classes", None),  # a stage-2 model must name its classes
         ("vocab_hash", "ab" * 31),
         ("vocab_hash", None),
         ("vocab_hash", 7),
@@ -314,11 +323,34 @@ class TestHeaderFields:
         with pytest.raises(SpecCorruptError, match=field):
             load_model(rewrite(path, reseal(out[:-32])))
 
-    def test_null_label_classes_load(self, saved):
-        path, _, _ = saved
-        out = edit_header(path.read_bytes(), lambda h: h.update(label_classes=None))
-        _, header = load_model(rewrite(path, reseal(out[:-32])))
-        assert header.label_map() is None
+    def test_null_label_classes_load(self, tmp_path):
+        # a stage-1 file still carries the key, as null
+        path = tmp_path / "m.vcmd"
+        save_model(tiny_stage1_model(), str(path), VOCAB_HASH)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        assert json.loads(blob[8:8 + header_len])["label_classes"] is None
+        _, header = load_model(str(path))
+        assert header.label_map is None
+
+    @pytest.mark.parametrize("stage2, label_map, match", [
+        (True, None, "a stage-2 model needs a label map"),
+        (False, LabelMap(["CWE-121"]), "a stage-1 model takes no label map"),
+    ])
+    def test_save_rejects_label_map_of_other_stage(self, tmp_path, trained_model,
+                                                   stage2, label_map, match):
+        model = trained_model if stage2 else tiny_stage1_model()
+        with pytest.raises(ValueError, match=match):
+            save_model(model, str(tmp_path / "m.vcmd"), VOCAB_HASH, label_map)
+        assert not (tmp_path / "m.vcmd").exists()
+
+    def test_load_rejects_label_classes_at_stage_1(self, tmp_path):
+        path = tmp_path / "m.vcmd"
+        save_model(tiny_stage1_model(), str(path), VOCAB_HASH)
+        out = edit_header(path.read_bytes(), lambda h: h.update(label_classes=["CWE-121"]))
+        with pytest.raises(SpecCorruptError,
+                           match=r"label_classes \['CWE-121'\] at stage 1"):
+            load_model(rewrite(path, reseal(out[:-32])))
 
 
 class TestHeads:
@@ -334,18 +366,16 @@ class TestHeads:
             save_model(build_model(spec, seed=2), str(path), VOCAB_HASH)
         assert not path.exists()
         # a file forged past the save-side check is refused on load
-        save_model(build_model(small_spec(), seed=2), str(path), VOCAB_HASH)
+        save_model(build_model(small_spec(), seed=2), str(path), VOCAB_HASH,
+                   LabelMap(CLASSES))
         out = edit_header(path.read_bytes(),
                           lambda h: h["spec"]["layers"][-1].update(kind="sigmoid"))
         with pytest.raises(SpecCorruptError, match=match):
             load_model(rewrite(path, reseal(out[:-32])))
 
     def test_stage1_scaled_tanh_head(self, tmp_path):
-        model = build_model(ModelSpec(
-            stage=1, vocab_size=3, embedding_dim=2, input_length=3,
-            layers=(FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))))
         path = tmp_path / "m.vcmd"
-        save_model(model, str(path), VOCAB_HASH)
+        save_model(tiny_stage1_model(), str(path), VOCAB_HASH)
         out = edit_header(path.read_bytes(),
                           lambda h: h["spec"]["layers"][-1].update(kind="scaled_tanh"))
         with pytest.raises(SpecCorruptError, match="stage-1 model ends in "
