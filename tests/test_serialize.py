@@ -103,6 +103,10 @@ class TestRoundTrip:
         assert [f.name for f in dataclasses.fields(header)] == ["vocab_hash", "label_map"]
         assert header.vocab_hash == VOCAB_HASH
         assert header.label_map.classes == lm.classes
+        # the version now lives only in the file, so pin the written bytes
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        assert json.loads(blob[8:8 + header_len])["format_version"] == FORMAT_VERSION == 2
 
     def test_load_draws_nothing_and_holds_no_gradients(self, saved, rng, monkeypatch):
         path, model, _ = saved
