@@ -8,7 +8,8 @@ A sealed file is, with integers little-endian:
 
 read_sealed makes every file-level check; the header's format_version is
 read before the digest, so that a file of another version is reported as
-such and not as damaged.
+such and not as damaged.  Every error that read_sealed, load_archive and
+serialize.load_model raise about a file's contents starts with its path.
 
 An archive ("VCEN") header holds format_version, label_kind, max_len, count,
 num_classes and vocab_hash.  Its payload is three u32 blocks: ids
@@ -19,6 +20,7 @@ the samples that carry a class.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -26,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChecksumMismatchError, SpecCorruptError, VersionMismatchError
+from .errors import (
+    ChecksumMismatchError,
+    PipelineError,
+    SpecCorruptError,
+    VersionMismatchError,
+)
 
 ARCHIVE_MAGIC = b"VCEN"
 ARCHIVE_VERSION = 2
@@ -82,6 +89,20 @@ def write_sealed(path: str, magic: bytes, header: dict, blocks: list[bytes]) -> 
         fh.write(digest.digest())
 
 
+def names_its_file(read):
+    """Decorate a reader whose first argument is a path: each PipelineError
+    it raises starts with that path, keeping its type and attributes."""
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except PipelineError as exc:
+            if not str(exc).startswith(f"{path}: "):  # read_sealed named it
+                exc.args = (f"{path}: {exc}",)
+            raise
+    return reader
+
+
 def take(view: memoryview, offset: int, count: int, what: str) -> tuple[memoryview, int]:
     """The count bytes at offset, as a view, and the offset after them."""
     if offset + count > len(view):
@@ -101,6 +122,7 @@ def _is_version_1_archive(view: memoryview) -> bool:
             and len(view) == 56 + 4 * count * (max_len + 2))
 
 
+@names_its_file
 def read_sealed(path: str, magic: bytes, version: int, kind: str) -> tuple[dict, memoryview]:
     """The header and payload of a sealed file of this magic and version;
     kind names the file in errors."""
@@ -143,6 +165,7 @@ def save_archive(archive: EncodedArchive, path: str) -> None:
     write_sealed(path, ARCHIVE_MAGIC, header, blocks)
 
 
+@names_its_file
 def load_archive(path: str) -> EncodedArchive:
     header, payload = read_sealed(path, ARCHIVE_MAGIC, ARCHIVE_VERSION, "archive")
     fields = {name: header.get(name) for name in HEADER_COUNTS}

@@ -87,8 +87,9 @@ def probability(text: str) -> float:
 
 def _write_manifest(args, path: str, config: dict,
                     inputs: list[str], outputs: list[str],
-                    started: float) -> None:
+                    started: float, **report) -> None:
     manifest = {
+        **report,
         "command": args.command,
         "argv": args.argv,
         "package_version": __version__,
@@ -134,6 +135,9 @@ def cmd_preprocess(args) -> int:
     vhash = vocab.content_hash()
 
     outputs = [vocab_path, label_path]
+    # rows whose tokens fill each window: the archives keep lengths cut at
+    # the window, so these are the samples it cut plus any of its length
+    filled = {"stage1": 0, "stage2": 0}
     for name, subset in subsets:
         ids1, len1 = encode_batch(normalized[name], vocab, STAGE1_INPUT_LENGTH)
         labels1 = np.array([s.vulnerable for s in subset], dtype=np.int64)
@@ -155,13 +159,16 @@ def cmd_preprocess(args) -> int:
         path2 = os.path.join(args.out_dir, f"stage2_{name}.vcen")
         save_archive(arch2, path2)
         outputs += [path1, path2]
+        for stage, arch in (("stage1", arch1), ("stage2", arch2)):
+            filled[stage] += int(np.sum(arch.true_lengths == arch.max_len))
 
     stats = class_stats(samples)
     if args.json:
         print(json.dumps({"stats": stats.as_dict(),
                           "train": len(train_set), "test": len(test_set),
                           "vocab_size": vocab.size,
-                          "classes": list(label_map.classes)}, indent=2))
+                          "classes": list(label_map.classes),
+                          "filled_window": filled}, indent=2))
     else:
         print(stats.format_table())
         print(f"split: {len(train_set)} train / {len(test_set)} test"
@@ -172,7 +179,7 @@ def cmd_preprocess(args) -> int:
     _write_manifest(
         args, os.path.join(args.out_dir, "preprocess_manifest.json"),
         {"seed": args.seed, "preserve_api_names": args.preserve_api_names},
-        [args.corpus], outputs, started)
+        [args.corpus], outputs, started, filled_window=filled)
     return 0
 
 

@@ -142,6 +142,13 @@ def sum_rows_by_id(ids: np.ndarray, upstream: np.ndarray, rows: int) -> np.ndarr
                        minlength=rows * width).reshape(rows, width)
 
 
+# The fewest im2col rows a Conv1D multiplies per sample.  A product of fewer
+# rows takes other kernels (a GEMV for one row), whose sums run in another
+# order: with OpenBLAS 0.3.31 (SkylakeX, one thread) the first m rows differ
+# from the full-length GEMM's up to m = 4 at stage 1 and m = 9 at stage 2.
+MIN_GEMM_ROWS = 16
+
+
 class Conv1D(Layer):
     """Valid (no padding), stride-1 temporal convolution: (B,L,C) -> (B,L-k+1,F).
 
@@ -150,6 +157,15 @@ class Conv1D(Layer):
     flattened.  Against the weights as one (F, k*C) matrix, the forward and
     dW are one GEMM per sample each, and dx is one (L', F) @ (F, k*C) GEMM
     per sample added back into k shifted slices.
+
+    tails, when set, holds per row the position s_b from which every input
+    vector is the same (a padding tail); the next forward reads and clears
+    it.  Outputs from s_b on then equal output s_b, so row b multiplies its
+    first m_b = min(max(s_b + 1, MIN_GEMM_ROWS), L') rows and copies row
+    m_b - 1 into the rest.  Those outputs are one function of the
+    parameters, so backward sums their upstream into row m_b - 1 and
+    multiplies m_b rows too: the parameter gradients move only by summation
+    order, and dx only among the tail's positions.
     """
 
     PARAMS = ("weights", "bias")
@@ -164,7 +180,9 @@ class Conv1D(Layer):
         self.weights = glorot_uniform(rng, (filters, in_channels, kernel_size),
                                       fan_in, fan_out)
         self.bias = np.zeros(filters)
+        self.tails = None
         self._x = None
+        self._rows = None
 
     def _im2col(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, L', k*C) im2col rows of a C-contiguous x and (F, k*C) weights."""
@@ -175,6 +193,7 @@ class Conv1D(Layer):
         return cols, w_cols
 
     def forward(self, x, training: bool = False):
+        tails, self.tails = self.tails, None
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeMismatchError(
@@ -184,27 +203,36 @@ class Conv1D(Layer):
             raise InputTooShortError(
                 f"sequence length {x.shape[1]} < kernel size {self.kernel_size}"
             )
-        self._x = x if training else None
         cols, w_cols = self._im2col(x)
-        out = np.empty(cols.shape[:2] + (self.filters,))
-        for b, sample in enumerate(cols):
-            np.matmul(sample, w_cols.T, out=out[b])
-        out += self.bias
+        l_out = cols.shape[1]
+        rows = ([l_out] * x.shape[0] if tails is None
+                else np.minimum(np.maximum(tails + 1, MIN_GEMM_ROWS), l_out).tolist())
+        out = np.empty((x.shape[0], l_out, self.filters))
+        for b, m in enumerate(rows):
+            np.matmul(cols[b, :m], w_cols.T, out=out[b, :m])
+            out[b, :m] += self.bias
+            out[b, m:] = out[b, m - 1]
+        self._x = x if training else None
+        self._rows = rows if training else None
         return out
 
     def backward(self, upstream):
         x, self._x = self._x, None
+        rows, self._rows = self._rows, None
         k, c, f = self.kernel_size, self.in_channels, self.filters
-        l_out = upstream.shape[1]
         self.grad["bias"][...] = upstream.sum(axis=(0, 1))
         cols, w_cols = self._im2col(x)
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
-        for b, up in enumerate(upstream):
-            dw += up.T @ cols[b]
-            dcols = (up @ w_cols).reshape(l_out, k, c)
+        for b, m in enumerate(rows):
+            up = upstream[b, :m]
+            if m < upstream.shape[1]:
+                up = up.copy()
+                up[-1] += upstream[b, m:].sum(axis=0)
+            dw += up.T @ cols[b, :m]
+            dcols = (up @ w_cols).reshape(m, k, c)
             for j in range(k):
-                dx[b, j:j + l_out] += dcols[:, j]
+                dx[b, j:j + m] += dcols[:, j]
         self.grad["weights"][...] = dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
 
@@ -257,10 +285,13 @@ class EmbeddingConv1D:
         d = self.embedding.dim
         return self.embedding.vocab_size * d < rows * (d - GATHER_COST)
 
-    def forward(self, ids, training: bool = False):
+    def forward(self, ids, training: bool = False, tails=None):
+        """On the pair path, tails goes to the convolution (see Conv1D)."""
         self._folded = self.wins(*np.shape(ids))
         if not self._folded:
-            return self.conv.forward(self.embedding.forward(ids, training), training)
+            x = self.embedding.forward(ids, training)
+            self.conv.tails = tails
+            return self.conv.forward(x, training)
         ids = self.embedding.check_ids(ids)
         k = self.conv.kernel_size
         l_out = ids.shape[1] - k + 1

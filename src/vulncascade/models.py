@@ -21,11 +21,16 @@ and scan batches; the two layers in turn otherwise, always for stage 1.  The
 two layers keep their own tensors and gradients, so the model's tensors,
 names and file bytes are those of the declared layers.
 
-An eval forward runs the layers before the first Flatten or LSTM (all of
-them position-wise and translation-invariant) only on the id columns that
-reach the first output position fed by PAD ids alone, then repeats that
-position to the full length: every such position holds the same vector.
-A training forward always reads every column.
+The layers before the first Flatten or LSTM (the prefix) are all
+position-wise and translation-invariant, so in each row every position whose
+receptive field holds PAD ids alone carries one vector, set by the
+parameters: the row's padding tail.  Model walks each row's tail start from
+its ids through the prefix, and each Conv1D there multiplies, per row, only
+the rows up to the first tail output and copies that one into the rest, in
+training and eval forwards and in backward.  An eval forward also runs the
+prefix only on the id columns up to the batch's longest row plus the few
+that reach its first tail output, then repeats that output to the full
+length.  Results equal the full-length ones up to float64 summation order.
 """
 
 from __future__ import annotations
@@ -200,8 +205,9 @@ class Model:
     the first two layers are an Embedding feeding a Conv1D, fold (their
     EmbeddingConv1D) is the stack's first entry and picks its path per call.
     prefix is (index, length): the first Flatten or LSTM is layers[index]
-    and reads a sequence of that length; the layers before it are the ones
-    an eval forward runs on the live columns only.
+    and reads a sequence of that length; each forward hands every Conv1D
+    before it the per-row tail starts of _tails, and an eval forward runs
+    those layers on the live columns only.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
@@ -227,10 +233,16 @@ class Model:
         self.forward_calls += 1
         self.eval_samples += ids.shape[0]
         self._cached_training_forward = False
-        n = ids.shape[1] if training else self._live_columns(ids)
+        walk = self._tails(ids)
+        n = ids.shape[1] if training else self._live_columns(walk[-1])
         h = ids[:, :n]
         end, length = self._stack_end, self.prefix[1]
-        for layer in self.stack[:end]:
+        for layer, tails in zip(self.stack[:end], walk):
+            if layer is self.fold:
+                h = layer.forward(h, training, tails)
+                continue
+            if isinstance(layer, Conv1D):  # every layer's forward is (x, training)
+                layer.tails = tails
             h = layer.forward(h, training=training)
         if h.shape[1] < length:
             # every position from the last one on saw PAD ids alone
@@ -240,29 +252,32 @@ class Model:
         self._cached_training_forward = training
         return h
 
-    def _live_columns(self, ids: np.ndarray) -> int:
-        """How many leading id columns an eval forward must read.
-
-        The layers before the prefix's end are position-wise and
-        translation-invariant, so every output position whose receptive
-        field holds PAD ids alone carries one vector, set by the parameters.
-        c follows the first such position from the first column after the
-        batch's last non-PAD id; the walk back gives the input length whose
-        output ends at c.
+    def _tails(self, ids: np.ndarray) -> list[np.ndarray]:
+        """Per row, where its padding tail starts at the input of each stack
+        entry before the prefix's end, then at that end.  In ids it starts
+        one past the last non-PAD id, read from the ids since two live
+        vectors can be equal; a pool's starts at its first window inside it.
         """
-        live = np.flatnonzero(ids.any(axis=0))
-        c = int(live[-1]) + 1 if live.size else 0
-        walk = self.layers[1:self.prefix[0]]
-        for layer in walk:
+        nonpad = ids[:, ::-1] != 0
+        tails = np.where(nonpad.any(axis=1), ids.shape[1] - nonpad.argmax(axis=1), 0)
+        walk = [tails]
+        for layer in self.stack[:self._stack_end]:
             if isinstance(layer, MaxPool1D):
-                c = -(-c // layer.stride)
-        n = c + 1
-        for layer in reversed(walk):
+                tails = -(-tails // layer.stride)
+            walk.append(tails)
+        return walk
+
+    def _live_columns(self, tails: np.ndarray) -> int:
+        """How many leading id columns an eval forward must read, given the
+        rows' tail starts at the prefix's end: the input length whose
+        prefix output reaches the batch's last first-tail position."""
+        n = int(tails.max(initial=0)) + 1
+        for layer in reversed(self.layers[1:self.prefix[0]]):
             if isinstance(layer, Conv1D):
                 n += layer.kernel_size - 1
             elif isinstance(layer, MaxPool1D):
                 n = (n - 1) * layer.stride + layer.window
-        return min(n, ids.shape[1])
+        return min(n, self.spec.input_length)
 
     def backward(self, upstream: np.ndarray) -> None:
         if not self._cached_training_forward:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import read_sealed, take, write_sealed
+from .archive import names_its_file, read_sealed, take, write_sealed
 from .dataset import LabelMap
 from .errors import SpecCorruptError
 from .models import STAGE_HEADS, Model, ModelSpec, _assemble
@@ -82,6 +82,7 @@ def _check_head(spec: ModelSpec) -> None:
                                f"its head must be {', '.join(map(repr, head))}")
 
 
+@names_its_file
 def load_model(path: str) -> tuple[Model, ModelHeader]:
     header_raw, payload = read_sealed(path, MODEL_MAGIC, FORMAT_VERSION, "model")
     try:

@@ -1,6 +1,7 @@
 """Encoded-sample archive round trips, and damage detection in the sealed
 container shared by archives and model files."""
 
+import re
 import struct
 
 import numpy as np
@@ -299,7 +300,21 @@ class TestSealedFiles:
         path.write_bytes(edit_header(path.read_bytes(),
                                      lambda h: h.update(format_version=9)))
         with pytest.raises(VersionMismatchError,
-                           match=f"^{kind} file format version 9,"):
+                           match=f"^{re.escape(str(path))}: {kind} file format version 9,"):
+            load(str(path))
+
+    # each cut ends in another part of the file; then one flipped payload
+    # byte, and a header forged and resealed
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:2], lambda blob: blob[:6], lambda blob: blob[:12],
+        lambda blob: blob[:-40], lambda blob: blob[:-1],
+        lambda blob: blob[:-33] + bytes([blob[-33] ^ 1]) + blob[-32:],
+        lambda blob: reseal(edit_header(blob, lambda h: h.pop("vocab_hash"))[:-32]),
+    ])
+    def test_every_error_starts_with_the_path(self, sealed, damage):
+        path, load, _ = sealed
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: "):
             load(str(path))
 
     @pytest.mark.parametrize("header", [b"\xff", b"1" * 5000, b"[" * 100_000],

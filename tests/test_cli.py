@@ -290,6 +290,27 @@ class TestPreprocess:
         assert report["train"] + report["test"] == 29
         assert report["vocab_size"] >= 2
 
+    def test_filled_windows_are_counted(self, tmp_path, capsys):
+        # one vulnerable sample longer than both windows; the rest are short
+        corpus = tmp_path / "long.jsonl"
+        write_corpus(corpus)
+        long_body = " ".join(f"t{i} = t{i} + {i};" for i in range(150))
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"code": f"int long(int t) {{ {long_body} }}",
+                                 "vulnerable": 1, "cwe": "CWE-190"}) + "\n")
+        args = ["preprocess", "--corpus", str(corpus), "--seed", "3"]
+        assert main([*args, "--out-dir", str(tmp_path / "text")]) == 0
+        text = capsys.readouterr().out
+        assert main([*args, "--out-dir", str(tmp_path / "json"), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["filled_window"] == {"stage1": 1, "stage2": 1}
+        for out in ("text", "json"):
+            manifest = json.loads(
+                (tmp_path / out / "preprocess_manifest.json").read_text())
+            assert manifest["filled_window"] == {"stage1": 1, "stage2": 1}
+        # the human-readable summary is unchanged
+        assert "filled" not in text
+
     def test_manifest_records_run(self, workspace):
         manifest = json.loads(
             (workspace["data"] / "preprocess_manifest.json").read_text())
@@ -547,6 +568,33 @@ def assert_pair_refused(workspace, capsys, code, flag, found):
     assert code == 2
     assert captured.out == ""
     assert f"{flag} {workspace[name]} holds a stage-{found} model" in captured.err
+
+
+@pytest.mark.parametrize("command", ["scan", "evaluate"])
+@pytest.mark.parametrize("bad", ["s1", "s2"])
+def test_damaged_model_file_is_named(workspace, tmp_path, capsys, command, bad):
+    # a stage-1 file cut short, or a stage-2 file whose label map is forged
+    # to null and resealed: the error names that file alone
+    files = {name: tmp_path / f"{name}.vcmd" for name in ("s1", "s2")}
+    blobs = {name: workspace[name].read_bytes() for name in files}
+    blobs["s1" if bad == "s1" else "s2"] = (
+        blobs["s1"][:100] if bad == "s1" else
+        reseal(edit_header(blobs["s2"], lambda h: h.update(label_classes=None))[:-32]))
+    for name, path in files.items():
+        path.write_bytes(blobs[name])
+    argv = [command, "--stage1", str(files["s1"]), "--stage2", str(files["s2"])]
+    if command == "scan":
+        source = tmp_path / "unit.c"
+        source.write_text("int add(int a, int b) { return a + b; }\n")
+        argv += ["--vocab", str(workspace["data"] / "vocab.txt"), str(source)]
+    else:
+        argv += ["--data", str(workspace["data"])]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {files[bad]}: ")
+    assert str(files["s2" if bad == "s1" else "s1"]) not in captured.err
 
 
 class TestEvaluate:

@@ -216,6 +216,39 @@ class TestConv1D:
             np.testing.assert_array_equal(layer.grad["bias"],
                                           upstream.sum(axis=(0, 1)))
 
+    @pytest.mark.parametrize("shape", ["stage1_conv1", "stage1_conv2", "stage2_conv2"])
+    def test_tails_skip_only_repeated_outputs(self, shape):
+        # rows whose input repeats one vector from its tail start on: the
+        # forward is the full one bit for bit, the parameter gradients equal
+        # up to summation order, and dx keeps each row's live part and the
+        # sum over its tail
+        c, f, k, length, _ = self.PRODUCTION[shape]
+        rng = np.random.default_rng(k)
+        layer = Conv1D(c, f, k, rng)
+        layer.bias[:] = rng.standard_normal(f)
+        tails = np.array([length, 0, 40, length - k, 3])
+        x = rng.standard_normal((len(tails), length, c))
+        for row, start in enumerate(tails):
+            x[row, start:] = rng.standard_normal(c)
+        upstream = rng.standard_normal((len(tails), length - k + 1, f))
+        want = layer.forward(x, training=True)
+        want_dx = layer.backward(upstream)
+        want_grads = [g.copy() for _, g in layer.grads()]
+        layer.tails = tails
+        got = layer.forward(x, training=True)
+        assert layer.tails is None  # read once
+        dx = layer.backward(upstream)
+        np.testing.assert_array_equal(got, want)
+        for (_, got_grad), want_grad in zip(layer.grads(), want_grads):
+            assert relative_error(got_grad, want_grad) <= 1e-12
+        scale = np.max(np.abs(want_dx))
+        for row, start in enumerate(tails):
+            assert np.max(np.abs(dx[row, :start] - want_dx[row, :start]),
+                          initial=0.0) <= 1e-12 * scale
+            assert np.max(np.abs(dx[row, start:].sum(axis=0)
+                                 - want_dx[row, start:].sum(axis=0)),
+                          initial=0.0) <= 1e-12 * scale
+
 
 class TestMaxPool:
     def test_forward_values(self):
