@@ -4,8 +4,9 @@ The corpus format is JSON lines, one sample per line:
 
     {"code": "...", "vulnerable": 0|1, "cwe": "CWE-121", "id": "optional"}
 
-``cwe`` is required exactly when ``vulnerable`` is 1.  Bad lines are collected
-as diagnostics rather than aborting the load, up to a sanity threshold.
+``cwe`` is required exactly when ``vulnerable`` is 1.  Bad lines, a line
+that is not UTF-8 among them, are collected as diagnostics rather than
+aborting the load, up to a sanity threshold.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import (
 )
 
 _CWE_RE = re.compile(r"^CWE-\d+$")
+# what errors="surrogateescape" decodes an undecodable byte to
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 
 # each class's share of the training split
 TRAIN_FRACTION = 0.8
@@ -120,18 +123,23 @@ def load_corpus(
 ) -> list[CorpusSample]:
     """Read a JSONL corpus; rejected lines go to diagnostics with line numbers.
 
+    A line holding a byte that is not UTF-8 is malformed; the rest load.
     Raises CorpusFormatError when a corpus of at least ten non-empty lines has
     more than 20% of them malformed, and EmptyCorpusError when nothing valid
-    remains.  Tiny corpora tolerate bad lines so a hand-rolled smoke file with
-    one typo still loads.
+    remains; both messages start with the path.  Tiny corpora tolerate bad
+    lines so a hand-rolled smoke file with one typo still loads.
     """
     samples: list[CorpusSample] = []
     local_diags: list[LineDiagnostic] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if bad := _UNDECODED_BYTE.search(line):
+                    raise CorpusFormatError(
+                        f"byte 0x{ord(bad.group()) - 0xDC00:02x} at character "
+                        f"{bad.start() + 1} is not UTF-8")
                 sample = parse_corpus_line(line)
             except CorpusFormatError as exc:
                 local_diags.append(LineDiagnostic(line_no, str(exc)))
@@ -144,11 +152,11 @@ def load_corpus(
     total = len(samples) + len(local_diags)
     if total >= 10 and len(local_diags) > 0.2 * total:
         raise CorpusFormatError(
-            f"{len(local_diags)} of {total} lines malformed; first: "
+            f"{path}: {len(local_diags)} of {total} lines malformed; first: "
             f"line {local_diags[0].line_no}: {local_diags[0].message}"
         )
     if not samples:
-        raise EmptyCorpusError(f"no valid samples in {path}")
+        raise EmptyCorpusError(f"{path}: no valid samples")
     return samples
 
 

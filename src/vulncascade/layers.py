@@ -16,6 +16,9 @@ of the (V, F) product of the table with that tap's weights; it never builds
 the (B, L, D) embedding output.  It pays where V*D < B*L'*(D - GATHER_COST),
 GATHER_COST = 30 by measurement (the numbers are at its definition): stage
 2 (D 300, V in the tens to thousands) folds, stage 1 (D 13) never does.
+
+A Conv1D with relu_pool set runs a Conv1D -> relu -> 2x2 MaxPool1D block
+per sample in cache, pool before relu, bit for bit the three layers.
 """
 
 from __future__ import annotations
@@ -166,6 +169,15 @@ class Conv1D(Layer):
     parameters, so backward sums their upstream into row m_b - 1 and
     multiplies m_b rows too: the parameter gradients move only by summation
     order, and dx only among the tail's positions.
+
+    relu_pool, when set (Model sets it where a relu and a 2x2 pool follow),
+    makes the layer the block Conv1D -> relu -> MaxPool1D(2, 2), bit for
+    bit: (B,L,C) -> (B,(L-k+1)//2,F).  Each sample's output lands in one
+    reused (L', F) buffer that _relu_pool_forward pools and rectifies in
+    cache.  Backward rebuilds each sample's convolution gradient in such a
+    buffer and adds its rows to the bias gradient after a row holding the
+    sum so far, in the order the full array's sum(axis=(0, 1)) takes.  With
+    one filter that sum is pairwise, so Model fuses only two or more.
     """
 
     PARAMS = ("weights", "bias")
@@ -180,9 +192,11 @@ class Conv1D(Layer):
         self.weights = glorot_uniform(rng, (filters, in_channels, kernel_size),
                                       fan_in, fan_out)
         self.bias = np.zeros(filters)
+        self.relu_pool = False
         self.tails = None
         self._x = None
         self._rows = None
+        self._masks = None
 
     def _im2col(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B, L', k*C) im2col rows of a C-contiguous x and (F, k*C) weights."""
@@ -204,35 +218,63 @@ class Conv1D(Layer):
                 f"sequence length {x.shape[1]} < kernel size {self.kernel_size}"
             )
         cols, w_cols = self._im2col(x)
-        l_out = cols.shape[1]
-        rows = ([l_out] * x.shape[0] if tails is None
+        batch, l_out = cols.shape[:2]
+        rows = ([l_out] * batch if tails is None
                 else np.minimum(np.maximum(tails + 1, MIN_GEMM_ROWS), l_out).tolist())
-        out = np.empty((x.shape[0], l_out, self.filters))
+        masks = None
+        if self.relu_pool:
+            if l_out < 2:
+                raise InputTooShortError(f"sequence length {l_out} < pool window 2")
+            conv = np.empty((l_out, self.filters))  # one sample's output
+            out = np.empty((batch, l_out // 2, self.filters))
+            if training:
+                masks = np.empty((2, *out.shape), dtype=bool)
+        else:
+            out = np.empty((batch, l_out, self.filters))
         for b, m in enumerate(rows):
-            np.matmul(cols[b, :m], w_cols.T, out=out[b, :m])
-            out[b, :m] += self.bias
-            out[b, m:] = out[b, m - 1]
+            y = conv if self.relu_pool else out[b]
+            np.matmul(cols[b, :m], w_cols.T, out=y[:m])
+            y[:m] += self.bias
+            y[m:] = y[m - 1]
+            if self.relu_pool:
+                _relu_pool_forward(y, out[b], None if masks is None else masks[:, b])
         self._x = x if training else None
         self._rows = rows if training else None
+        self._masks = masks
         return out
 
     def backward(self, upstream):
         x, self._x = self._x, None
         rows, self._rows = self._rows, None
+        masks, self._masks = self._masks, None
         k, c, f = self.kernel_size, self.in_channels, self.filters
-        self.grad["bias"][...] = upstream.sum(axis=(0, 1))
         cols, w_cols = self._im2col(x)
+        l_out = cols.shape[1]
+        if masks is None:
+            self.grad["bias"][...] = upstream.sum(axis=(0, 1))
+        else:
+            # row 0: the bias gradient so far; rows 1..: one sample's
+            # convolution gradient (an odd L' leaves the last one zero)
+            acc = np.zeros((l_out + 1, f))
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
         for b, m in enumerate(rows):
-            up = upstream[b, :m]
-            if m < upstream.shape[1]:
+            if masks is None:
+                d = upstream[b]
+            else:
+                d = acc[1:]
+                _relu_pool_backward(upstream[b], masks[:, b], d)
+                acc[0] = np.add.reduce(acc[1:] if b == 0 else acc, axis=0)
+            up = d[:m]
+            if m < l_out:
                 up = up.copy()
-                up[-1] += upstream[b, m:].sum(axis=0)
+                up[-1] += d[m:].sum(axis=0)
             dw += up.T @ cols[b, :m]
             dcols = (up @ w_cols).reshape(m, k, c)
             for j in range(k):
                 dx[b, j:j + m] += dcols[:, j]
+        if masks is not None:
+            self.grad["bias"][...] = acc[0]
         self.grad["weights"][...] = dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
 
@@ -270,6 +312,7 @@ class EmbeddingConv1D:
         self.embedding = embedding
         self.conv = conv
         self._ids = None
+        self._masks = None
         self._folded = False
 
     def wins(self, batch: int, length: int) -> bool:
@@ -286,7 +329,8 @@ class EmbeddingConv1D:
         return self.embedding.vocab_size * d < rows * (d - GATHER_COST)
 
     def forward(self, ids, training: bool = False, tails=None):
-        """On the pair path, tails goes to the convolution (see Conv1D)."""
+        """On the pair path, tails goes to the convolution (see Conv1D).  A
+        relu_pool convolution's block epilogue runs on either path."""
         self._folded = self.wins(*np.shape(ids))
         if not self._folded:
             x = self.embedding.forward(ids, training)
@@ -302,14 +346,24 @@ class EmbeddingConv1D:
             out += taps[j][ids[:, j:j + l_out]]
         out += self.conv.bias
         self._ids = ids if training else None
-        return out
+        if not self.conv.relu_pool:
+            return out
+        pooled = np.empty((out.shape[0], l_out // 2, out.shape[2]))
+        self._masks = np.empty((2, *pooled.shape), dtype=bool) if training else None
+        _relu_pool_forward(out, pooled, self._masks)
+        return pooled
 
     def backward(self, upstream):
         if not self._folded:
             return self.embedding.backward(self.conv.backward(upstream))
         ids, self._ids = self._ids, None
         emb, conv = self.embedding, self.conv
-        k, l_out = conv.kernel_size, upstream.shape[1]
+        k, l_out = conv.kernel_size, ids.shape[1] - conv.kernel_size + 1
+        if conv.relu_pool:
+            masks, self._masks = self._masks, None
+            dconv = np.zeros((ids.shape[0], l_out, conv.filters))
+            _relu_pool_backward(upstream, masks, dconv)
+            upstream = dconv
         conv.grad["bias"][...] = upstream.sum(axis=(0, 1))
         # (k, V, F): the upstream summed by the id at each tap's offset
         d_taps = np.stack([sum_rows_by_id(ids[:, j:j + l_out], upstream,
@@ -321,8 +375,52 @@ class EmbeddingConv1D:
 
 def _pairs(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the first and second element of each of the n windows of a
-    window == stride == 2 pool over axis 1."""
-    return a[:, 0:2 * n:2], a[:, 1:2 * n:2]
+    window == stride == 2 pool over axis -2 (time)."""
+    return a[..., 0:2 * n:2, :], a[..., 1:2 * n:2, :]
+
+
+def _scatter_pairs(upstream, first_wins, dx) -> tuple[np.ndarray, np.ndarray]:
+    """A 2x2 pool's backward: each upstream value goes to the first element
+    of its pair where first_wins, else to the second, in dx's pair views
+    (returned); dx's other entries are left as they are.  u * 1 == u,
+    u * 0 == +-0 and u - u == 0 exactly for finite u, so this places each
+    upstream value unchanged, as a masked copy would, at a third of its cost.
+    """
+    first, second = _pairs(dx, upstream.shape[-2])
+    np.multiply(upstream, first_wins, out=first)
+    np.subtract(upstream, first, out=second)
+    return first, second
+
+
+def _relu_pool_forward(a, out, masks=None) -> None:
+    """out = relu of a 2x2 max pool over axis -2 of a, which is
+    max(relu(first), relu(second)) bit for bit since relu is monotone.
+
+    masks, in training, is a (2, *out.shape) bool array to fill for
+    _relu_pool_backward: whether relu then pool routes the pair's gradient
+    to its first element (first >= second on rectified values), and relu's
+    derivative at the element it routes to.  That derivative is not
+    out > 0 where a pair holds NaN and a positive element.
+    """
+    first, second = _pairs(a, out.shape[-2])
+    np.maximum(first, second, out=out)
+    if masks is not None:
+        first_wins, live = masks
+        np.greater_equal(first, second, out=first_wins)
+        first_wins |= out <= 0
+        np.greater(np.fmax(out, second), 0.0, out=live)
+    np.maximum(out, 0.0, out=out)
+
+
+def _relu_pool_backward(upstream, masks, da) -> None:
+    """Writes into da the gradient at the input of _relu_pool_forward: the
+    pool's scatter, then relu's derivative at each pair, in the order the
+    two layers' backward passes take, so the bits are theirs.  An odd last
+    row of da is left as it is."""
+    first_wins, live = masks
+    first, second = _scatter_pairs(upstream, first_wins, da)
+    first *= live
+    second *= live
 
 
 class MaxPool1D(Layer):
@@ -364,12 +462,7 @@ class MaxPool1D(Layer):
         arg, self._arg = self._arg, None
         dx = np.zeros(self._in_shape)
         if self.window == self.stride == 2:
-            # u * 1 == u, u * 0 == +-0 and u - u == 0 exactly for finite u, so
-            # this places each upstream value unchanged, as a masked copy
-            # would, at a third of its cost
-            first, second = _pairs(dx, l_out)
-            np.multiply(upstream, arg, out=first)
-            np.subtract(upstream, first, out=second)
+            _scatter_pairs(upstream, arg, dx)
             return dx
         bi, ti, ci = np.indices((b, l_out, c))
         np.add.at(dx, (bi, ti * self.stride + arg, ci), upstream)

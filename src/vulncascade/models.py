@@ -21,6 +21,10 @@ and scan batches; the two layers in turn otherwise, always for stage 1.  The
 two layers keep their own tensors and gradients, so the model's tensors,
 names and file bytes are those of the declared layers.
 
+Each Conv1D -> relu -> MaxPool1D(2, 2) block (stage 1's two; stage 2 has a
+batchnorm between relu and pool) runs as its Conv1D with relu_pool set,
+bit for bit: the relu and the pool leave the stack but stay in the layers.
+
 The layers before the first Flatten or LSTM (the prefix) are all
 position-wise and translation-invariant, so in each row every position whose
 receptive field holds PAD ids alone carries one vector, set by the
@@ -204,6 +208,7 @@ class Model:
     layers own the tensors; stack is what forward and backward run.  When
     the first two layers are an Embedding feeding a Conv1D, fold (their
     EmbeddingConv1D) is the stack's first entry and picks its path per call.
+    A fused block's relu and pool are in layers only (_fuse_blocks).
     prefix is (index, length): the first Flatten or LSTM is layers[index]
     and reads a sequence of that length; each forward hands every Conv1D
     before it the per-row tail starts of _tails, and an eval forward runs
@@ -216,10 +221,12 @@ class Model:
         self.layers = layers
         self.output_width = output_width
         self.fold = fold
-        self.stack = layers if fold is None else [fold, *layers[2:]]
+        self.stack = _fuse_blocks(layers)
+        if fold is not None:
+            self.stack[:2] = [fold]
         self.prefix = prefix
-        # the prefix's end in stack indices: the fold stands for two layers
-        self._stack_end = prefix[0] - (fold is not None)
+        # the prefix's end in stack indices
+        self._stack_end = self.stack.index(layers[prefix[0]])
         self.forward_calls = 0
         self.eval_samples = 0
         self._cached_training_forward = False
@@ -256,7 +263,8 @@ class Model:
         """Per row, where its padding tail starts at the input of each stack
         entry before the prefix's end, then at that end.  In ids it starts
         one past the last non-PAD id, read from the ids since two live
-        vectors can be equal; a pool's starts at its first window inside it.
+        vectors can be equal; a pool's, or a fused block's, starts at its
+        first window inside it.
         """
         nonpad = ids[:, ::-1] != 0
         tails = np.where(nonpad.any(axis=1), ids.shape[1] - nonpad.argmax(axis=1), 0)
@@ -264,6 +272,8 @@ class Model:
         for layer in self.stack[:self._stack_end]:
             if isinstance(layer, MaxPool1D):
                 tails = -(-tails // layer.stride)
+            elif getattr(getattr(layer, "conv", layer), "relu_pool", False):
+                tails = -(-tails // 2)  # a Conv1D, or the fold's, fused with its pool
             walk.append(tails)
         return walk
 
@@ -307,6 +317,20 @@ class Model:
 
     def param_count(self) -> int:
         return sum(arr.size for arr in self.params())
+
+
+def _fuse_blocks(layers: list[Layer]) -> list[Layer]:
+    """The layers with each Conv1D -> relu -> MaxPool1D(2, 2) run as its
+    Conv1D alone, relu_pool set: the returned list drops the block's relu
+    and pool.  A one-filter convolution stays unfused (see Conv1D)."""
+    fused = set()
+    for conv, act, pool in zip(layers, layers[1:], layers[2:]):
+        if (isinstance(conv, Conv1D) and conv.filters > 1
+                and isinstance(act, Activation) and act.kind == "relu"
+                and isinstance(pool, MaxPool1D) and pool.window == pool.stride == 2):
+            conv.relu_pool = True
+            fused.update((id(act), id(pool)))
+    return [layer for layer in layers if id(layer) not in fused]
 
 
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import time
 
 # One BLAS thread, set before numpy loads: default threading oversubscribes a
 # small box and slows the suite several-fold when another job shares it.
@@ -84,6 +85,22 @@ def layer_grad_error(layer, x, seed=0, training=True, check_input=True,
         params.append(x)
         grads.append(np.asarray(dx))
     return gradient_check(loss_fn, params, grads, step=step, rng=rng)
+
+
+def growth_ratio(run, small, large, repeats=3):
+    """run's best-of-repeats time on large over its time on small.  For
+    inputs k times apart, linear work reads about k and quadratic about k*k,
+    whatever the host's speed; asserting a ratio rather than a budget keeps
+    the check from failing on a slow host."""
+    def best(arg):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run(arg)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    return best(large) / best(small)
 
 
 def reseal(body):

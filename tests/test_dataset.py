@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -96,8 +97,37 @@ class TestLoadCorpus:
 
     def test_empty_corpus(self, tmp_path):
         path = write_corpus(tmp_path, [""])
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(EmptyCorpusError, match=f"^{re.escape(str(path))}: "):
             load_corpus(path)
+
+    def test_undecodable_line_is_a_diagnostic(self, tmp_path):
+        lines = [line(code=f"int v{i};", vulnerable=0) for i in range(5)]
+        path = write_corpus(tmp_path, lines)
+        with open(path, "ab") as fh:
+            fh.write(b'{"code": "x\xff", "vulnerable": 0}\n')
+        diags = []
+        samples = load_corpus(path, diags)
+        assert [s.code for s in samples] == [f"int v{i};" for i in range(5)]
+        assert [d.line_no for d in diags] == [6]
+        assert diags[0].message == "byte 0xff at character 12 is not UTF-8"
+
+    def test_undecodable_lines_count_toward_the_bound(self, tmp_path):
+        # 3 of 10 lines malformed is over the 20% bound
+        path = tmp_path / "corpus.jsonl"
+        good = line(code="ok", vulnerable=0).encode() + b"\n"
+        path.write_bytes(good * 4 + b"\xff\xfe\n" + good * 3 + b"\x80{}\n" * 2)
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == (
+            f"{path}: 3 of 10 lines malformed; first: "
+            "line 5: byte 0xff at character 1 is not UTF-8")
+
+    def test_lines_still_split_at_every_line_break(self, tmp_path):
+        # the file is read as text: a lone "\r" ends a line, as before
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(line(code="a", vulnerable=0).encode() + b"\r"
+                         + line(code="b", vulnerable=0).encode() + b"\r\n")
+        assert [s.code for s in load_corpus(path)] == ["a", "b"]
 
 
 class TestLabelMap:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from vulncascade.errors import (
@@ -11,7 +12,9 @@ from vulncascade.errors import (
     InputTooShortError,
     ShapeMismatchError,
 )
+from vulncascade import layers as layers_module
 from vulncascade.layers import (
+    MIN_GEMM_ROWS,
     Activation,
     BatchNorm1D,
     Conv1D,
@@ -248,6 +251,122 @@ class TestConv1D:
             assert np.max(np.abs(dx[row, start:].sum(axis=0)
                                  - want_dx[row, start:].sum(axis=0)),
                           initial=0.0) <= 1e-12 * scale
+
+
+def same_bits(got, want):
+    """Equal bit for bit: signed zeros and NaN payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def relu_pool_pair(c, f, k, rng):
+    """Two convolutions with equal parameters: the first runs its block's
+    relu and 2x2 pool itself (relu_pool), the second does not."""
+    fused, plain = Conv1D(c, f, k, rng), Conv1D(c, f, k, None)
+    fused.bias[:] = rng.standard_normal(f)
+    plain.weights[...], plain.bias[...] = fused.weights, fused.bias
+    fused.relu_pool = True
+    return fused, plain
+
+
+def block_step(layers, x, tails, upstream):
+    """Output, dx, dW and db of one training step through layers (a fused
+    convolution, or a convolution, a relu and a 2x2 pool), the convolution
+    handed tails."""
+    layers[0].tails = tails
+    h = x
+    for layer in layers:
+        h = layer.forward(h, training=True)
+    dx = upstream
+    for layer in reversed(layers):
+        dx = layer.backward(dx)
+    return h, dx, layers[0].grad["weights"].copy(), layers[0].grad["bias"].copy()
+
+
+class TestReluPool:
+    """A Conv1D with relu_pool set is Conv1D -> relu -> MaxPool1D(2, 2) run
+    in turn with the same tails, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_three_layers(self, data):
+        l_out = data.draw(st.one_of(st.sampled_from([2, 3, 17, 241]),
+                                    st.integers(2, 40)))
+        c, f, k = (data.draw(st.integers(1, 5)), data.draw(st.integers(2, 9)),
+                   data.draw(st.integers(1, 4)))
+        batch = data.draw(st.integers(1, 4))
+        length = l_out + k - 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fused, plain = relu_pool_pair(c, f, k, rng)
+        # each row repeats one vector from its tail start on; 0 is all PAD
+        tails = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0, length]), st.integers(0, length)),
+            min_size=batch, max_size=batch)))
+        x = rng.standard_normal((batch, length, c))
+        x[np.arange(length) >= tails[:, None]] = rng.standard_normal(c)
+        # signed zeros: a filter of zero weights, its bias -0 or +0, gives
+        # outputs of either sign; then NaN in the convolution's output
+        fused.weights[0] = plain.weights[0] = 0.0
+        fused.bias[0] = plain.bias[0] = data.draw(st.sampled_from([-0.0, 0.0]))
+        nan = data.draw(st.sampled_from(["none", "bias", "input"]))
+        if nan == "bias":
+            fused.bias[-1] = plain.bias[-1] = np.nan
+        elif nan == "input":  # in a row's multiplied part
+            row = rng.integers(batch)
+            x[row, rng.integers(max(tails[row], 1)), rng.integers(c)] = np.nan
+        upstream = rng.standard_normal((batch, l_out // 2, f))
+        upstream[rng.random(upstream.shape) < 0.2] = -0.0
+        upstream[rng.random(upstream.shape) < 0.1] = 0.0
+        floor = data.draw(st.sampled_from([1, MIN_GEMM_ROWS]))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(layers_module, "MIN_GEMM_ROWS", floor)
+            got = block_step([fused], x, tails, upstream)
+            want = block_step([plain, Activation("relu"), MaxPool1D(2, 2)],
+                              x, tails, upstream)
+        for got_part, want_part in zip(got, want):
+            same_bits(got_part, want_part)
+
+    def test_nan_pairs_route_as_relu_then_pool(self):
+        # k = 1 and weights +1, -1: the convolution's output is x and -x.
+        # Pairs holding NaN: relu then pool sends the gradient on to a
+        # positive second element and leaves -0 where that is <= 0
+        fused, plain = relu_pool_pair(1, 2, 1, np.random.default_rng(0))
+        for conv in (fused, plain):
+            conv.weights[:, 0, 0] = [1.0, -1.0]
+            conv.bias[:] = 0.0
+        x = np.array([np.nan, 2.0, np.nan, -2.0, 1.0, np.nan, -1.0, np.nan,
+                      np.nan, np.nan])[None, :, None]
+        upstream = np.full((1, 5, 2), -1.5)
+        with np.errstate(invalid="ignore"):
+            got = block_step([fused], x, None, upstream)
+            want = block_step([plain, Activation("relu"), MaxPool1D(2, 2)],
+                              x, None, upstream)
+        for got_part, want_part in zip(got, want):
+            same_bits(got_part, want_part)
+        assert got[1][0, :4, 0].tolist() == [0.0, -1.5, 0.0, 1.5]
+
+    def test_eval_forward_matches_and_caches_nothing(self, rng):
+        fused, plain = relu_pool_pair(13, 256, 7, rng)
+        x = rng.standard_normal((3, 500, 13))
+        want = MaxPool1D(2, 2).forward(Activation("relu").forward(plain.forward(x)))
+        got = fused.forward(x)
+        assert got.shape == (3, 247, 256)
+        same_bits(got, want)
+        assert fused._x is None and fused._masks is None
+
+    def test_gradients(self, rng):
+        for i in range(3):
+            fused, _ = relu_pool_pair(3, 4, 3, rng)
+            # spread values to keep finite differences off relu's kink and
+            # the pool's ties
+            x = rng.standard_normal((2, 12, 3)) * 10.0
+            assert layer_grad_error(fused, x, seed=i) < 1e-4
+
+    def test_one_output_is_too_short_to_pool(self, rng):
+        fused, _ = relu_pool_pair(2, 3, 3, rng)
+        with pytest.raises(InputTooShortError):
+            fused.forward(rng.standard_normal((1, 3, 2)))
 
 
 class TestMaxPool:
@@ -571,6 +690,29 @@ class TestEmbeddingConv1D:
         assert relative_error(got, want) <= 1e-12
         for got_grad, want_grad in zip(pair_grads(emb, conv), want_grads):
             assert relative_error(got_grad, want_grad) <= 1e-12
+
+    @pytest.mark.parametrize("l_out", [8, 9])
+    def test_relu_pool_runs_on_the_folded_path(self, l_out):
+        # the fold ahead of relu -> 2x2 pool: the fused block against the
+        # fold, a relu and a pool in turn, bit for bit
+        emb, conv, fold = folded_pair(5, 64, 3, 3)
+        rng = np.random.default_rng(l_out)
+        ids = rng.integers(0, 5, size=(2, l_out + 2))
+        assert fold.wins(*ids.shape)
+        upstream = rng.standard_normal((2, l_out // 2, 3))
+        runs = []
+        for fused in (True, False):
+            conv.relu_pool = fused
+            stack = [fold] if fused else [fold, Activation("relu"), MaxPool1D(2, 2)]
+            h = ids
+            for layer in stack:
+                h = layer.forward(h, training=True)
+            dx = upstream
+            for layer in reversed(stack):
+                dx = layer.backward(dx)
+            runs.append([h] + [g.copy() for g in pair_grads(emb, conv)])
+        for got, want in zip(*runs):
+            same_bits(got, want)
 
     def test_rule(self):
         # a narrow embedding never folds; a wide one folds while the tap

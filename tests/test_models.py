@@ -1,5 +1,6 @@
 """Model assembly, the two factory architectures, and the cascade decision."""
 
+import contextlib
 import functools
 import hashlib
 import tracemalloc
@@ -418,12 +419,28 @@ class TestFold:
             model.backward(np.ones_like(out))
 
 
+@contextlib.contextmanager
+def unfused(model):
+    """Each declared layer runs alone: no Conv1D runs its block's relu and
+    2x2 pool, whose layers run after it."""
+    convs = [layer for layer in model.layers
+             if isinstance(layer, Conv1D) and layer.relu_pool]
+    for conv in convs:
+        conv.relu_pool = False
+    try:
+        yield
+    finally:
+        for conv in convs:
+            conv.relu_pool = True
+
+
 def full_length_forward(model, ids, training=False):
     """The reference eval forward: each layer's forward in turn, on every
     column."""
     h = ids
-    for layer in model.layers:
-        h = layer.forward(h, training=training)
+    with unfused(model):
+        for layer in model.layers:
+            h = layer.forward(h, training=training)
     return h
 
 
@@ -431,8 +448,9 @@ def layerwise_training_step(model, ids, upstream):
     """The reference training step: each layer's training forward in turn,
     on every column, then each layer's backward in reverse."""
     out = full_length_forward(model, ids, training=True)
-    for layer in reversed(model.layers):
-        upstream = layer.backward(upstream)
+    with unfused(model):
+        for layer in reversed(model.layers):
+            upstream = layer.backward(upstream)
     return out
 
 
@@ -666,6 +684,84 @@ class TestRaggedRows:
         assert heights == [(494, 91), (25, 91), (241, 1792), (16, 1792)]
 
 
+def two_block_detector_spec(vocab_size=12, embedding_dim=4, input_length=17):
+    """A tiny detector of two convolution blocks; at 17 ids the first
+    convolution's output has odd length (15)."""
+    return ModelSpec(
+        stage=1, vocab_size=vocab_size, embedding_dim=embedding_dim,
+        input_length=input_length,
+        layers=(
+            ConvSpec(4, 3), ActivationSpec("relu"), PoolSpec(2, 2),
+            ConvSpec(3, 2), ActivationSpec("relu"), PoolSpec(2, 2),
+            FlattenSpec(),
+            DenseSpec(1), ActivationSpec("sigmoid"),
+        ),
+    )
+
+
+class TestFusedBlocks:
+    """Each Conv1D -> relu -> MaxPool1D(2, 2) runs as its Conv1D alone; the
+    declared layers, and so the spec, tensors and file, are unchanged."""
+
+    def test_stage1_stack_holds_no_relu_or_pool_before_flatten(self):
+        model = build_model(stage1_spec(20))
+        conv1, conv2 = model.layers[1], model.layers[4]
+        assert model.stack[:3] == [model.fold, conv2, model.layers[7]]
+        assert isinstance(model.stack[2], Flatten)
+        assert conv1.relu_pool and conv2.relu_pool
+        assert [type(layer) for layer in model.layers[:8]] == [
+            Embedding, Conv1D, Activation, MaxPool1D,
+            Conv1D, Activation, MaxPool1D, Flatten]
+
+    def test_training_forward_holds_no_full_size_block_output(self):
+        # the caches hold each block's input and its two pair masks, not the
+        # convolution's (B, L', F) output or the relu's
+        model = build_model(stage1_spec(20))
+        model.forward(ragged_ids(np.random.default_rng(0), [500, 30], 500),
+                      training=True)
+        shapes = [arr.shape for owner in (*model.layers, model.fold)
+                  for value in vars(owner).values() for arr in held_arrays(value)]
+        assert (2, 494, 256) not in shapes and (2, 241, 128) not in shapes
+        assert (2, 2, 247, 256) in shapes and (2, 2, 120, 128) in shapes
+
+    def test_stage2_stack_is_unchanged(self):
+        # a BatchNorm stands between each relu and pool
+        model = build_model(stage2_spec(20, 4))
+        assert model.stack == [model.fold, *model.layers[2:]]
+        assert not any(getattr(layer, "relu_pool", False) for layer in model.layers)
+
+    @pytest.mark.parametrize("spec", [
+        sliding_pool_spec(),
+        ModelSpec(stage=1, vocab_size=5, embedding_dim=3, input_length=8,
+                  layers=(ConvSpec(1, 3), ActivationSpec("relu"), PoolSpec(2, 2),
+                          FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))),
+        ModelSpec(stage=1, vocab_size=5, embedding_dim=3, input_length=8,
+                  layers=(ConvSpec(2, 3), ActivationSpec("sigmoid"), PoolSpec(2, 2),
+                          FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))),
+    ], ids=["window-3-pool", "one-filter", "sigmoid"])
+    def test_other_blocks_stay_unfused(self, spec):
+        model = build_model(spec)
+        assert model.stack == [model.fold, *model.layers[2:]]
+        assert not any(getattr(layer, "relu_pool", False) for layer in model.layers)
+
+    def test_fold_ahead_of_relu_pool(self):
+        # a wide embedding folds into the first convolution, whose block
+        # then ends in its relu and pool on the folded path
+        model, reference = (build_model(two_block_detector_spec(6, 64), seed=3)
+                            for _ in range(2))
+        rng = np.random.default_rng(4)
+        ids = ragged_ids(rng, [17, 9, 0], 17, vocab=6)
+        assert model.fold.wins(*ids.shape) and model.layers[1].relu_pool
+        upstream = rng.standard_normal((3, 1))
+        out = model.forward(ids, training=True)
+        model.backward(upstream)
+        want = layerwise_training_step(reference, ids, upstream)
+        np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
+        assert_gradients_close(model, reference, 1e-12)
+        np.testing.assert_allclose(model.forward(ids), full_length_forward(reference, ids),
+                                   rtol=0.0, atol=1e-12)
+
+
 def force_probability_half(stage1: Model) -> None:
     """Zero the head's affine map so the sigmoid emits exactly 0.5."""
     dense = stage1.layers[-2]
@@ -876,6 +972,16 @@ class TestWholeModelGradients:
         model = build_model(tiny_stage1_spec(), seed=2)
         ids = rng.integers(0, 12, size=(2, 12))
         targets = np.array([[1.0], [0.0]])
+        self._check(model, ids, lambda p: bce_loss(targets, p))
+
+    def test_fused_detector_blocks(self, monkeypatch):
+        # both blocks fused, odd convolution lengths, and short rows on the
+        # tail path (at MIN_GEMM_ROWS 1)
+        monkeypatch.setattr(layers, "MIN_GEMM_ROWS", 1)
+        model = build_model(two_block_detector_spec(), seed=2)
+        assert model.layers[1].relu_pool and model.layers[4].relu_pool
+        ids = ragged_ids(np.random.default_rng(5), [17, 6, 0], 17, vocab=12)
+        targets = np.array([[1.0], [0.0], [1.0]])
         self._check(model, ids, lambda p: bce_loss(targets, p))
 
     def test_folded_classifier_architecture(self):

@@ -19,6 +19,18 @@ from vulncascade.normalizer import (
 )
 
 from c_snippets import SNIPPETS
+from conftest import growth_ratio
+
+
+def hostile_source(units):
+    """units functions, each with its own names, a directive, a comment,
+    nested parens and an escaped string; then a comment that never closes."""
+    body = "".join(
+        f"#define M{i} ({i} + 1)\n"
+        f"static int f{i}(int a{i}, char *s{i}) {{ /* c{i} */ "
+        f'char *t = "x\\"{i}"; return g{i}((a{i} + (1)), s{i}[0]); // x\n}}\n'
+        for i in range(units))
+    return body + "/* never closed " + "x" * units
 
 
 def kinds(source):
@@ -194,6 +206,11 @@ class TestTokenize:
         joined = "".join(t.text for t in tokenize(source))
         assert joined == re.sub(r"[ \t\r\n\f\v]", "", source)
 
+    def test_linear_time(self):
+        # 4x the input: about 4x the time; quadratic work would read 16
+        assert growth_ratio(tokenize, hostile_source(500),
+                            hostile_source(2000)) < 8.0
+
 
 class TestClassify:
     def test_call_means_function(self):
@@ -219,6 +236,11 @@ class TestClassify:
 
 
 class TestNormalize:
+    def test_linear_time(self):
+        # every identifier is new: 4x the tokens, about 4x the time
+        small, large = tokenize(hostile_source(500)), tokenize(hostile_source(2000))
+        assert growth_ratio(normalize, small, large) < 8.0
+
     def test_worked_example(self):
         assert norm("int add(int a, int b){return a+b;}") == [
             "int", "FUNC0", "(", "int", "VAR0", ",", "int", "VAR1", ")", "{",

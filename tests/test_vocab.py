@@ -16,6 +16,8 @@ from vulncascade.vocab import (
     encode_batch,
 )
 
+from conftest import growth_ratio
+
 
 def make_vocab(tokens):
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + tokens)
@@ -87,6 +89,14 @@ class TestEncode:
         ids, lengths = encode_batch([["a"], ["a", "b"]], v, 4)
         assert ids.shape == (2, 4) and ids.dtype == np.int32
         assert lengths.tolist() == [1, 2]
+
+    def test_batch_takes_linear_time(self):
+        # rows longer than the window, over a 5000-token vocabulary: 4x the
+        # rows, about 4x the time; quadratic work would read 16
+        rows = [[f"t{(r * 7 + j) % 5000}" for j in range(600)] for r in range(1600)]
+        vocab = build_vocab(rows)
+        assert growth_ratio(lambda batch: encode_batch(batch, vocab, 500),
+                            rows[:400], rows) < 8.0
 
     def test_empty_batch(self):
         v = make_vocab(["a"])
