@@ -8,7 +8,7 @@ A sealed file is, with integers little-endian:
 
 read_sealed makes every file-level check; the header's format_version is
 read before the digest, so that a file of another version is reported as
-such and not as damaged.  Every error that read_sealed, load_archive and
+such and not as damaged.  Every error that load_archive and
 serialize.load_model raise about a file's contents starts with its path.
 
 An archive ("VCEN") header holds format_version, label_kind, max_len, count,
@@ -97,8 +97,7 @@ def names_its_file(read):
         try:
             return read(path, *args, **kwargs)
         except PipelineError as exc:
-            if not str(exc).startswith(f"{path}: "):  # read_sealed named it
-                exc.args = (f"{path}: {exc}",)
+            exc.args = (f"{path}: {exc}",)
             raise
     return reader
 
@@ -122,7 +121,6 @@ def _is_version_1_archive(view: memoryview) -> bool:
             and len(view) == 56 + 4 * count * (max_len + 2))
 
 
-@names_its_file
 def read_sealed(path: str, magic: bytes, version: int, kind: str) -> tuple[dict, memoryview]:
     """The header and payload of a sealed file of this magic and version;
     kind names the file in errors."""

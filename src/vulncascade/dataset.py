@@ -25,10 +25,9 @@ from .errors import (
     SpecCorruptError,
     TooFewSamplesError,
 )
+from .normalizer import undecoded_byte
 
 _CWE_RE = re.compile(r"^CWE-\d+$")
-# what errors="surrogateescape" decodes an undecodable byte to
-_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 
 # each class's share of the training split
 TRAIN_FRACTION = 0.8
@@ -136,10 +135,8 @@ def load_corpus(
             if not line.strip():
                 continue
             try:
-                if bad := _UNDECODED_BYTE.search(line):
-                    raise CorpusFormatError(
-                        f"byte 0x{ord(bad.group()) - 0xDC00:02x} at character "
-                        f"{bad.start() + 1} is not UTF-8")
+                if why := undecoded_byte(line):
+                    raise CorpusFormatError(why)
                 sample = parse_corpus_line(line)
             except CorpusFormatError as exc:
                 local_diags.append(LineDiagnostic(line_no, str(exc)))

@@ -14,8 +14,8 @@ that only infers never holds them.  Forward and backward are pure given
 EmbeddingConv1D runs an Embedding that feeds a Conv1D as one lookup per tap
 of the (V, F) product of the table with that tap's weights; it never builds
 the (B, L, D) embedding output.  It pays where V*D < B*L'*(D - GATHER_COST),
-GATHER_COST = 30 by measurement (the numbers are at its definition): stage
-2 (D 300, V in the tens to thousands) folds, stage 1 (D 13) never does.
+GATHER_COST = 30 by measurement (the numbers are at its definition), never
+at D <= GATHER_COST: stage 2 (D 300) has a fold, stage 1 (D 13) none.
 
 A Conv1D with relu_pool set runs a Conv1D -> relu -> 2x2 MaxPool1D block
 per sample in cache, pool before relu, bit for bit the three layers.
@@ -296,7 +296,8 @@ class EmbeddingConv1D:
 
     It stands first in the stack a Model runs, in place of the pair, and
     picks its path per call: a forward runs folded where wins() says so and
-    the two layers in turn otherwise; its backward takes the same path.
+    the two layers in turn otherwise; its backward takes the same path.  Its
+    convolution is never fused (Conv1D): a relu and pool after it are layers.
     Folded, with ids (B, L), the (V, D) table and (F, D, k) weights, each
     tap j has the (V, F) product P_j = table @ W[:, :, j].T, and
         out[b, t] = bias + sum_j P_j[ids[b, t + j]].
@@ -311,8 +312,8 @@ class EmbeddingConv1D:
     def __init__(self, embedding: Embedding, conv: Conv1D):
         self.embedding = embedding
         self.conv = conv
+        self.tails = None
         self._ids = None
-        self._masks = None
         self._folded = False
 
     def wins(self, batch: int, length: int) -> bool:
@@ -328,9 +329,10 @@ class EmbeddingConv1D:
         d = self.embedding.dim
         return self.embedding.vocab_size * d < rows * (d - GATHER_COST)
 
-    def forward(self, ids, training: bool = False, tails=None):
-        """On the pair path, tails goes to the convolution (see Conv1D).  A
-        relu_pool convolution's block epilogue runs on either path."""
+    def forward(self, ids, training: bool = False):
+        """tails, when set, is read and cleared as Conv1D's is: the pair
+        path hands it to the convolution, the folded path drops it."""
+        tails, self.tails = self.tails, None
         self._folded = self.wins(*np.shape(ids))
         if not self._folded:
             x = self.embedding.forward(ids, training)
@@ -346,12 +348,7 @@ class EmbeddingConv1D:
             out += taps[j][ids[:, j:j + l_out]]
         out += self.conv.bias
         self._ids = ids if training else None
-        if not self.conv.relu_pool:
-            return out
-        pooled = np.empty((out.shape[0], l_out // 2, out.shape[2]))
-        self._masks = np.empty((2, *pooled.shape), dtype=bool) if training else None
-        _relu_pool_forward(out, pooled, self._masks)
-        return pooled
+        return out
 
     def backward(self, upstream):
         if not self._folded:
@@ -359,11 +356,6 @@ class EmbeddingConv1D:
         ids, self._ids = self._ids, None
         emb, conv = self.embedding, self.conv
         k, l_out = conv.kernel_size, ids.shape[1] - conv.kernel_size + 1
-        if conv.relu_pool:
-            masks, self._masks = self._masks, None
-            dconv = np.zeros((ids.shape[0], l_out, conv.filters))
-            _relu_pool_backward(upstream, masks, dconv)
-            upstream = dconv
         conv.grad["bias"][...] = upstream.sum(axis=(0, 1))
         # (k, V, F): the upstream summed by the id at each tap's offset
         d_taps = np.stack([sum_rows_by_id(ids[:, j:j + l_out], upstream,
@@ -392,15 +384,15 @@ def _scatter_pairs(upstream, first_wins, dx) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _relu_pool_forward(a, out, masks=None) -> None:
+def _relu_pool_forward(a, out, masks) -> None:
     """out = relu of a 2x2 max pool over axis -2 of a, which is
     max(relu(first), relu(second)) bit for bit since relu is monotone.
 
-    masks, in training, is a (2, *out.shape) bool array to fill for
-    _relu_pool_backward: whether relu then pool routes the pair's gradient
-    to its first element (first >= second on rectified values), and relu's
-    derivative at the element it routes to.  That derivative is not
-    out > 0 where a pair holds NaN and a positive element.
+    masks is None in eval, and in training a (2, *out.shape) bool array to
+    fill for _relu_pool_backward: whether relu then pool routes the pair's
+    gradient to its first element (first >= second on rectified values),
+    and relu's derivative at the element it routes to.  That derivative is
+    not out > 0 where a pair holds NaN and a positive element.
     """
     first, second = _pairs(a, out.shape[-2])
     np.maximum(first, second, out=out)

@@ -13,17 +13,15 @@ blocks (64 then 128 filters, kernel 3, ReLU, batch normalization, 2x2 max
 pooling), an LSTM returning its full sequence (100 cells) feeding a second
 LSTM reduced to its last step (10 cells), then dense 100 -> C with softmax.
 
-_assemble pairs an embedding with a convolution that directly follows it
-into a layers.EmbeddingConv1D, the first entry of the stack Model runs.  It
-picks its path per call: folded for every batch whose shape its rule says it
-wins (V*D < B*L'*(D - 30), measured), stage 2 at its training, accuracy-pass
-and scan batches; the two layers in turn otherwise, always for stage 1.  The
-two layers keep their own tensors and gradients, so the model's tensors,
-names and file bytes are those of the declared layers.
+Where an embedding wider than layers.GATHER_COST (stage 2's) feeds a
+convolution directly, _assemble pairs the two into a layers.EmbeddingConv1D,
+the first entry of the stack Model runs, which picks its path per call by
+its rule.  The two layers keep their own tensors and gradients, so the
+model's tensors, names and file bytes are those of the declared layers.
 
-Each Conv1D -> relu -> MaxPool1D(2, 2) block (stage 1's two; stage 2 has a
-batchnorm between relu and pool) runs as its Conv1D with relu_pool set,
-bit for bit: the relu and the pool leave the stack but stay in the layers.
+Each unfolded Conv1D -> relu -> MaxPool1D(2, 2) block (stage 1's two; stage
+2 has a batchnorm between relu and pool) runs as its Conv1D with relu_pool
+set, bit for bit: the relu and the pool leave the stack but stay in layers.
 
 The layers before the first Flatten or LSTM (the prefix) are all
 position-wise and translation-invariant, so in each row every position whose
@@ -54,6 +52,7 @@ from .layers import (
     Embedding,
     EmbeddingConv1D,
     Flatten,
+    GATHER_COST,
     Layer,
     LSTM,
     MaxPool1D,
@@ -205,14 +204,13 @@ def stage2_spec(vocab_size: int, num_classes: int) -> ModelSpec:
 class Model:
     """An ordered layer stack materialized from a ModelSpec.
 
-    layers own the tensors; stack is what forward and backward run.  When
-    the first two layers are an Embedding feeding a Conv1D, fold (their
-    EmbeddingConv1D) is the stack's first entry and picks its path per call.
-    A fused block's relu and pool are in layers only (_fuse_blocks).
+    layers own the tensors; stack is what forward and backward run: fold,
+    the EmbeddingConv1D of the first two layers if _assemble built one, then
+    the layers, less each fused block's relu and pool (_fuse_blocks).
     prefix is (index, length): the first Flatten or LSTM is layers[index]
-    and reads a sequence of that length; each forward hands every Conv1D
-    before it the per-row tail starts of _tails, and an eval forward runs
-    those layers on the live columns only.
+    and reads a sequence of that length; each forward sets tails on every
+    Conv1D or fold before it to the per-row tail starts of _tails, and an
+    eval forward runs those layers on the live columns only.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
@@ -221,9 +219,7 @@ class Model:
         self.layers = layers
         self.output_width = output_width
         self.fold = fold
-        self.stack = _fuse_blocks(layers)
-        if fold is not None:
-            self.stack[:2] = [fold]
+        self.stack = _fuse_blocks(layers if fold is None else [fold, *layers[2:]])
         self.prefix = prefix
         # the prefix's end in stack indices
         self._stack_end = self.stack.index(layers[prefix[0]])
@@ -245,10 +241,7 @@ class Model:
         h = ids[:, :n]
         end, length = self._stack_end, self.prefix[1]
         for layer, tails in zip(self.stack[:end], walk):
-            if layer is self.fold:
-                h = layer.forward(h, training, tails)
-                continue
-            if isinstance(layer, Conv1D):  # every layer's forward is (x, training)
+            if isinstance(layer, (Conv1D, EmbeddingConv1D)):
                 layer.tails = tails
             h = layer.forward(h, training=training)
         if h.shape[1] < length:
@@ -272,8 +265,8 @@ class Model:
         for layer in self.stack[:self._stack_end]:
             if isinstance(layer, MaxPool1D):
                 tails = -(-tails // layer.stride)
-            elif getattr(getattr(layer, "conv", layer), "relu_pool", False):
-                tails = -(-tails // 2)  # a Conv1D, or the fold's, fused with its pool
+            elif isinstance(layer, Conv1D) and layer.relu_pool:
+                tails = -(-tails // 2)
             walk.append(tails)
         return walk
 
@@ -365,7 +358,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if length < ls.kernel_size:
                 fail(i, ls, f"sequence length {length} < kernel size {ls.kernel_size}")
             layers.append(Conv1D(channels, ls.filters, ls.kernel_size, rng))
-            if i == 0:  # the embedding feeds this convolution directly
+            if i == 0 and spec.embedding_dim > GATHER_COST:  # see EmbeddingConv1D.wins
                 fold = EmbeddingConv1D(layers[0], layers[1])
             seq = (length - ls.kernel_size + 1, ls.filters)
         elif isinstance(ls, PoolSpec):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .errors import SpecCorruptError
+
 # C89/C99 keywords plus the C++17 keyword set.  Keywords are never rewritten.
 C_KEYWORDS = {
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -291,11 +293,24 @@ def normalize_source(
     return normalize(tokenize(source, issues=issues), preserve=preserve)
 
 
+def undecoded_byte(line: str) -> str | None:
+    """Why a line read with errors="surrogateescape" is not UTF-8, or None."""
+    try:
+        line.encode("utf-8")  # fails at the first escaped byte
+    except UnicodeEncodeError as exc:
+        return (f"byte 0x{ord(line[exc.start]) - 0xDC00:02x} at character "
+                f"{exc.start + 1} is not UTF-8")
+    return None
+
+
 def load_preserve_list(path) -> frozenset[str]:
-    """Read an identifier whitelist, one name per line; '#' lines are comments."""
+    """Read an identifier whitelist, one name per line; '#' lines are comments.
+    A line that is not UTF-8 raises SpecCorruptError naming the file and line."""
     names = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if why := undecoded_byte(line):
+                raise SpecCorruptError(f"{path}: line {line_no}: {why}")
             name = line.strip()
             if name and not name.startswith("#"):
                 names.add(name)

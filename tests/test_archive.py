@@ -314,8 +314,9 @@ class TestSealedFiles:
     def test_every_error_starts_with_the_path(self, sealed, damage):
         path, load, _ = sealed
         path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: ") as info:
             load(str(path))
+        assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("header", [b"\xff", b"1" * 5000, b"[" * 100_000],
                              ids=["bad-utf8", "5000-digits", "deep-nesting"])

@@ -29,7 +29,7 @@ from vulncascade.serialize import load_model, save_model
 from vulncascade.vocab import Vocabulary
 
 from c_snippets import SNIPPETS
-from conftest import edit_header, reseal
+from conftest import edit_header, growth_ratio, reseal
 
 CLEAN_BODIES = [
     "int add(int a, int b) { return a + b; }",
@@ -188,6 +188,12 @@ class TestSplitFunctions:
         start = time.perf_counter()
         assert split_functions(tokenize("a(" * 10_000)) == []
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("unit", ["a(", "{"])
+    def test_unclosed_runs_grow_linearly(self, unit):
+        # inputs 4x apart: linear work reads about 4, quadratic about 16
+        assert growth_ratio(split_functions, tokenize(unit * 5_000),
+                            tokenize(unit * 20_000)) < 8.0
 
     def test_two_functions(self):
         src = ("int add(int a, int b) { return a + b; }\n"
@@ -595,6 +601,28 @@ def test_damaged_model_file_is_named(workspace, tmp_path, capsys, command, bad):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {files[bad]}: ")
     assert str(files["s2" if bad == "s1" else "s1"]) not in captured.err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "scan"])
+def test_undecodable_preserve_list_is_named(workspace, tmp_path, capsys, command):
+    # byte 0xff on the list's second line: the error names the list and line
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"memcpy\nstrlen\xff\n")
+    if command == "preprocess":
+        argv = [command, "--corpus", str(workspace["corpus"]),
+                "--out-dir", str(tmp_path / "out")]
+    else:
+        source = tmp_path / "unit.c"
+        source.write_text("int add(int a, int b) { return a + b; }\n")
+        argv = [command, "--stage1", str(workspace["s1"]),
+                "--stage2", str(workspace["s2"]),
+                "--vocab", str(workspace["data"] / "vocab.txt"), str(source)]
+    code = main([*argv, "--preserve-api-names", str(keep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {keep}: line 2: byte 0xff at character 7 is not UTF-8")
 
 
 class TestEvaluate:

@@ -691,29 +691,6 @@ class TestEmbeddingConv1D:
         for got_grad, want_grad in zip(pair_grads(emb, conv), want_grads):
             assert relative_error(got_grad, want_grad) <= 1e-12
 
-    @pytest.mark.parametrize("l_out", [8, 9])
-    def test_relu_pool_runs_on_the_folded_path(self, l_out):
-        # the fold ahead of relu -> 2x2 pool: the fused block against the
-        # fold, a relu and a pool in turn, bit for bit
-        emb, conv, fold = folded_pair(5, 64, 3, 3)
-        rng = np.random.default_rng(l_out)
-        ids = rng.integers(0, 5, size=(2, l_out + 2))
-        assert fold.wins(*ids.shape)
-        upstream = rng.standard_normal((2, l_out // 2, 3))
-        runs = []
-        for fused in (True, False):
-            conv.relu_pool = fused
-            stack = [fold] if fused else [fold, Activation("relu"), MaxPool1D(2, 2)]
-            h = ids
-            for layer in stack:
-                h = layer.forward(h, training=True)
-            dx = upstream
-            for layer in reversed(stack):
-                dx = layer.backward(dx)
-            runs.append([h] + [g.copy() for g in pair_grads(emb, conv)])
-        for got, want in zip(*runs):
-            same_bits(got, want)
-
     def test_rule(self):
         # a narrow embedding never folds; a wide one folds while the tap
         # products (V rows) cost less than the windows they replace (B * L')

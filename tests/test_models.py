@@ -347,10 +347,9 @@ class TestFold:
         assert build_model(flat_first).fold is None
 
     def test_rule_keeps_stage1_on_the_direct_path(self):
+        # a 13-wide embedding never wins the fold, so stage 1 builds none
         for vocab in (33, 69, 108, 5000):
-            fold = build_model(stage1_spec(vocab)).fold
-            for batch in (1, 5, 64, 105, 256):
-                assert not fold.wins(batch, 500)
+            assert build_model(stage1_spec(vocab)).fold is None
 
     def test_rule_folds_stage2_production_shapes(self):
         # training at batch 32, a scanned file's 5 rows, the accuracy pass
@@ -486,9 +485,9 @@ def embedding_widths(model, monkeypatch):
     first = model.stack[0]
     forward = first.forward
 
-    def spy(ids, training=False, tails=None):
+    def spy(ids, training=False):
         widths.append(np.shape(ids)[1])
-        return forward(ids, training, tails)
+        return forward(ids, training)
 
     monkeypatch.setattr(first, "forward", spy)
     return widths
@@ -637,6 +636,28 @@ class TestRaggedRows:
             np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
             assert_gradients_close(model, reference, 1e-11)
 
+    @pytest.mark.parametrize("spec, batch", [
+        (stage1_spec(20), 5), (stage2_spec(69, 4), 5), (stage2_spec(400, 3), 1),
+    ], ids=["stage1", "folded", "pair"])
+    def test_every_forward_clears_the_tails(self, spec, batch):
+        # each Conv1D and the fold read and clear the tails a forward hands
+        # them, also in a forward refused for an out-of-range id
+        model = build_model(spec)
+        length = spec.input_length
+        ids = ragged_ids(np.random.default_rng(6), [length // 2] * batch, length)
+        if model.fold is not None:
+            assert model.fold.wins(*ids.shape) == (spec.vocab_size == 69)
+        holders = [layer for layer in (*model.layers, model.fold)
+                   if hasattr(layer, "tails")]
+        for training in (True, False):
+            model.forward(ids, training=training)
+            assert all(holder.tails is None for holder in holders)
+        ids[-1, 3] = spec.vocab_size
+        for training in (True, False):
+            with pytest.raises(IdOutOfRangeError):
+                model.forward(ids, training=training)
+            assert all(holder.tails is None for holder in holders)
+
     def test_gradient_check(self, monkeypatch):
         # the tiny model's rows are shorter than MIN_GEMM_ROWS: at 1, its
         # short rows take the tail path
@@ -706,8 +727,8 @@ class TestFusedBlocks:
     def test_stage1_stack_holds_no_relu_or_pool_before_flatten(self):
         model = build_model(stage1_spec(20))
         conv1, conv2 = model.layers[1], model.layers[4]
-        assert model.stack[:3] == [model.fold, conv2, model.layers[7]]
-        assert isinstance(model.stack[2], Flatten)
+        assert model.stack[:4] == [model.layers[0], conv1, conv2, model.layers[7]]
+        assert isinstance(model.stack[3], Flatten)
         assert conv1.relu_pool and conv2.relu_pool
         assert [type(layer) for layer in model.layers[:8]] == [
             Embedding, Conv1D, Activation, MaxPool1D,
@@ -719,7 +740,7 @@ class TestFusedBlocks:
         model = build_model(stage1_spec(20))
         model.forward(ragged_ids(np.random.default_rng(0), [500, 30], 500),
                       training=True)
-        shapes = [arr.shape for owner in (*model.layers, model.fold)
+        shapes = [arr.shape for owner in model.layers
                   for value in vars(owner).values() for arr in held_arrays(value)]
         assert (2, 494, 256) not in shapes and (2, 241, 128) not in shapes
         assert (2, 2, 247, 256) in shapes and (2, 2, 120, 128) in shapes
@@ -741,17 +762,19 @@ class TestFusedBlocks:
     ], ids=["window-3-pool", "one-filter", "sigmoid"])
     def test_other_blocks_stay_unfused(self, spec):
         model = build_model(spec)
-        assert model.stack == [model.fold, *model.layers[2:]]
+        assert model.stack == model.layers
         assert not any(getattr(layer, "relu_pool", False) for layer in model.layers)
 
     def test_fold_ahead_of_relu_pool(self):
-        # a wide embedding folds into the first convolution, whose block
-        # then ends in its relu and pool on the folded path
+        # a wide embedding folds into the first convolution, which stays
+        # unfused: its relu and pool run as layers, the second block fused
         model, reference = (build_model(two_block_detector_spec(6, 64), seed=3)
                             for _ in range(2))
         rng = np.random.default_rng(4)
         ids = ragged_ids(rng, [17, 9, 0], 17, vocab=6)
-        assert model.fold.wins(*ids.shape) and model.layers[1].relu_pool
+        assert model.fold.wins(*ids.shape) and not model.layers[1].relu_pool
+        assert model.stack[:4] == [model.fold, *model.layers[2:5]]
+        assert model.layers[4].relu_pool
         upstream = rng.standard_normal((3, 1))
         out = model.forward(ids, training=True)
         model.backward(upstream)

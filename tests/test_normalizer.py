@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vulncascade.errors import SpecCorruptError
 from vulncascade.normalizer import (
     CANONICAL_LITERALS,
     KEYWORDS,
@@ -381,6 +382,10 @@ def test_load_preserve_list(tmp_path):
     path = tmp_path / "keep.txt"
     path.write_text("# libc names\nmemcpy\nstrlen\n\nprintf\n")
     assert load_preserve_list(path) == frozenset({"memcpy", "strlen", "printf"})
+    path.write_bytes(b"memcpy\r\n# \xc3\xa9t\xe9\nstrlen\n")
+    with pytest.raises(SpecCorruptError,
+                       match=f"^{re.escape(str(path))}: line 2: byte 0xe9 at character 5 "):
+        load_preserve_list(path)
 
 
 def test_function_slices_normalize_like_their_source_text():
