@@ -76,7 +76,7 @@ class LabelMap:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or bad JSON
+        except (ValueError, RecursionError) as exc:  # bad bytes or JSON, deep nesting
             raise SpecCorruptError(f"{path}: {exc}") from exc
         classes = data.get("classes") if isinstance(data, dict) else None
         if (not isinstance(classes, list) or not classes
@@ -91,8 +91,8 @@ def parse_corpus_line(line: str) -> CorpusSample:
     """Parse one JSONL record, raising CorpusFormatError with a reason."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"not valid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # also 4300+ digits, deep nesting
+        raise CorpusFormatError(f"not valid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise CorpusFormatError("record is not a JSON object")
     if "code" not in obj or not isinstance(obj["code"], str):

@@ -26,13 +26,17 @@ set, bit for bit: the relu and the pool leave the stack but stay in layers.
 The layers before the first Flatten or LSTM (the prefix) are all
 position-wise and translation-invariant, so in each row every position whose
 receptive field holds PAD ids alone carries one vector, set by the
-parameters: the row's padding tail.  Model walks each row's tail start from
-its ids through the prefix, and each Conv1D there multiplies, per row, only
-the rows up to the first tail output and copies that one into the rest, in
-training and eval forwards and in backward.  An eval forward also runs the
-prefix only on the id columns up to the batch's longest row plus the few
-that reach its first tail output, then repeats that output to the full
-length.  Results equal the full-length ones up to float64 summation order.
+parameters: the row's padding tail.  Valid stride-1 convolutions and pools
+map positions affinely (Dumoulin and Visin 2016), so _assemble reduces the
+prefix to integers: each Conv1D's input stride s, the product of the pool
+strides before it, at which a tail starting at id t starts at ceil(t / s),
+and the prefix's total stride S and receptive field R.  Each Conv1D there
+multiplies, per row, only the rows up to its first tail output and copies
+that one into the rest, in training and eval forwards and in backward.  An
+eval forward also runs the prefix on the first ceil(t / S) * S + R id
+columns only, t the batch's last tail start, and repeats its last output to
+the full length.  Results equal the full-length ones up to float64
+summation order.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .layers import (
     MaxPool1D,
 )
 from .normalizer import normalize_source
-from .vocab import Vocabulary, encode
+from .vocab import PAD_ID, Vocabulary, encode
 
 STAGE1_INPUT_LENGTH = 500
 STAGE1_EMBEDDING_DIM = 13
@@ -207,22 +211,27 @@ class Model:
     layers own the tensors; stack is what forward and backward run: fold,
     the EmbeddingConv1D of the first two layers if _assemble built one, then
     the layers, less each fused block's relu and pool (_fuse_blocks).
-    prefix is (index, length): the first Flatten or LSTM is layers[index]
-    and reads a sequence of that length; each forward sets tails on every
-    Conv1D or fold before it to the per-row tail starts of _tails, and an
-    eval forward runs those layers on the live columns only.
+    prefix is (index, length, stride, field): the first Flatten or LSTM is
+    layers[index] and reads a sequence of that length, and the layers before
+    it have that total stride and receptive field.  in_strides maps each
+    Conv1D or fold among them to its input stride s; each forward sets its
+    tails to the rows' tail starts in ids over s, rounded up, and an eval
+    forward runs the prefix on the live columns only.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
-                 fold: EmbeddingConv1D | None, prefix: tuple[int, int]):
+                 fold: EmbeddingConv1D | None, prefix: tuple[int, int, int, int],
+                 in_strides: dict):
         self.spec = spec
         self.layers = layers
         self.output_width = output_width
         self.fold = fold
         self.stack = _fuse_blocks(layers if fold is None else [fold, *layers[2:]])
         self.prefix = prefix
-        # the prefix's end in stack indices
-        self._stack_end = self.stack.index(layers[prefix[0]])
+        # each stack entry before the prefix's end: its input stride, or 0
+        # where it reads no tails
+        self._strides = [in_strides.get(layer, 0)
+                         for layer in self.stack[:self.stack.index(layers[prefix[0]])]]
         self.forward_calls = 0
         self.eval_samples = 0
         self._cached_training_forward = False
@@ -236,51 +245,26 @@ class Model:
         self.forward_calls += 1
         self.eval_samples += ids.shape[0]
         self._cached_training_forward = False
-        walk = self._tails(ids)
-        n = ids.shape[1] if training else self._live_columns(walk[-1])
+        # per row, one past its last non-PAD id, read from the ids since two
+        # live vectors can be equal
+        nonpad = ids[:, ::-1] != PAD_ID
+        tails = np.where(nonpad.any(axis=1), ids.shape[1] - nonpad.argmax(axis=1), 0)
+        _, length, stride, field = self.prefix
+        n = ids.shape[1]
+        if not training:  # the columns that reach the last first-tail output
+            n = min(-(-int(tails.max(initial=0)) // stride) * stride + field, n)
         h = ids[:, :n]
-        end, length = self._stack_end, self.prefix[1]
-        for layer, tails in zip(self.stack[:end], walk):
-            if isinstance(layer, (Conv1D, EmbeddingConv1D)):
-                layer.tails = tails
+        for layer, s in zip(self.stack, self._strides):
+            if s:
+                layer.tails = -(-tails // s)
             h = layer.forward(h, training=training)
         if h.shape[1] < length:
             # every position from the last one on saw PAD ids alone
             h = np.pad(h, ((0, 0), (0, length - h.shape[1]), (0, 0)), mode="edge")
-        for layer in self.stack[end:]:
+        for layer in self.stack[len(self._strides):]:
             h = layer.forward(h, training=training)
         self._cached_training_forward = training
         return h
-
-    def _tails(self, ids: np.ndarray) -> list[np.ndarray]:
-        """Per row, where its padding tail starts at the input of each stack
-        entry before the prefix's end, then at that end.  In ids it starts
-        one past the last non-PAD id, read from the ids since two live
-        vectors can be equal; a pool's, or a fused block's, starts at its
-        first window inside it.
-        """
-        nonpad = ids[:, ::-1] != 0
-        tails = np.where(nonpad.any(axis=1), ids.shape[1] - nonpad.argmax(axis=1), 0)
-        walk = [tails]
-        for layer in self.stack[:self._stack_end]:
-            if isinstance(layer, MaxPool1D):
-                tails = -(-tails // layer.stride)
-            elif isinstance(layer, Conv1D) and layer.relu_pool:
-                tails = -(-tails // 2)
-            walk.append(tails)
-        return walk
-
-    def _live_columns(self, tails: np.ndarray) -> int:
-        """How many leading id columns an eval forward must read, given the
-        rows' tail starts at the prefix's end: the input length whose
-        prefix output reaches the batch's last first-tail position."""
-        n = int(tails.max(initial=0)) + 1
-        for layer in reversed(self.layers[1:self.prefix[0]]):
-            if isinstance(layer, Conv1D):
-                n += layer.kernel_size - 1
-            elif isinstance(layer, MaxPool1D):
-                n = (n - 1) * layer.stride + layer.window
-        return min(n, self.spec.input_length)
 
     def backward(self, upstream: np.ndarray) -> None:
         if not self._cached_training_forward:
@@ -344,6 +328,10 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
     seq: tuple[int, int] | None = (spec.input_length, spec.embedding_dim)
     flat: int | None = None
     prev_name = "embedding"
+    # the layers so far as one affine map of positions: total stride and
+    # receptive field; and each Conv1D's (or the fold's) input stride
+    stride = field = 1
+    in_strides: dict[Layer | EmbeddingConv1D, int] = {}
 
     def fail(i, layer_spec, why):
         raise IncompatibleSpecError(
@@ -358,8 +346,11 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if length < ls.kernel_size:
                 fail(i, ls, f"sequence length {length} < kernel size {ls.kernel_size}")
             layers.append(Conv1D(channels, ls.filters, ls.kernel_size, rng))
+            reader = layers[-1]
             if i == 0 and spec.embedding_dim > GATHER_COST:  # see EmbeddingConv1D.wins
-                fold = EmbeddingConv1D(layers[0], layers[1])
+                fold = reader = EmbeddingConv1D(layers[0], layers[1])
+            in_strides[reader] = stride
+            field += (ls.kernel_size - 1) * stride
             seq = (length - ls.kernel_size + 1, ls.filters)
         elif isinstance(ls, PoolSpec):
             if seq is None:
@@ -368,6 +359,8 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if length < ls.window:
                 fail(i, ls, f"sequence length {length} < pool window {ls.window}")
             layers.append(MaxPool1D(ls.window, ls.stride))
+            field += (ls.window - 1) * stride
+            stride *= ls.stride
             seq = ((length - ls.window) // ls.stride + 1, channels)
         elif isinstance(ls, BatchNormSpec):
             features = seq[1] if seq is not None else flat
@@ -376,7 +369,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if seq is None:
                 fail(i, ls, "lstm needs sequence input, got flat features")
             length, channels = seq
-            prefix = prefix or (len(layers), length)
+            prefix = prefix or (len(layers), length, stride, field)
             layers.append(LSTM(channels, ls.units, rng,
                                return_sequences=ls.return_sequences))
             if ls.return_sequences:
@@ -387,7 +380,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if seq is None:
                 fail(i, ls, "flatten needs sequence input, got flat features")
             length, channels = seq
-            prefix = prefix or (len(layers), length)
+            prefix = prefix or (len(layers), length, stride, field)
             layers.append(Flatten())
             seq, flat = None, length * channels
         elif isinstance(ls, DenseSpec):
@@ -405,7 +398,8 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
         raise IncompatibleSpecError(
             "network never reduces to flat features; it cannot feed a classifier head"
         )
-    return Model(spec, layers, output_width=flat, fold=fold, prefix=prefix)
+    return Model(spec, layers, output_width=flat, fold=fold, prefix=prefix,
+                 in_strides=in_strides)
 
 
 class Verdict(Enum):

@@ -513,7 +513,8 @@ class TestTrain:
     @pytest.mark.parametrize("text", ['{"labels": []}', '["CWE-1"]',
                                       '{"classes": [1, 2, 3, 4, 5]}',
                                       '{"classes": []}',
-                                      '{"classes": ["CWE-1", "CWE-1"]}'])
+                                      '{"classes": ["CWE-1", "CWE-1"]}',
+                                      pytest.param("[" * 100_000, id="deep-nesting")])
     def test_malformed_label_map_is_refused_before_training(
             self, workspace, tmp_path, capsys, text):
         data = tmp_path / "data"
@@ -523,7 +524,7 @@ class TestTrain:
         assert main(["train", "--stage", "2", "--data", str(data),
                      "--out", str(out), "--epochs", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "label_map.json" in err
+        assert err.startswith(f"error: {data / 'label_map.json'}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("name, content", DAMAGED_FILES)
@@ -601,6 +602,24 @@ def test_damaged_model_file_is_named(workspace, tmp_path, capsys, command, bad):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {files[bad]}: ")
     assert str(files["s2" if bad == "s1" else "s1"]) not in captured.err
+
+
+def test_model_spec_too_large_to_allocate_is_named(workspace, tmp_path, capsys):
+    # a resealed stage-1 file whose spec asks for a 10**7 x 10**7 embedding
+    # table (728 TiB): numpy's MemoryError is a malformed spec, not a crash
+    def enlarge(header):
+        header["spec"].update(vocab_size=10**7, embedding_dim=10**7)
+
+    s1 = tmp_path / "s1.vcmd"
+    s1.write_bytes(reseal(edit_header(workspace["s1"].read_bytes(), enlarge)[:-32]))
+    source = tmp_path / "unit.c"
+    source.write_text("int add(int a, int b) { return a + b; }\n")
+    code = main(["scan", "--stage1", str(s1), "--stage2", str(workspace["s2"]),
+                 "--vocab", str(workspace["data"] / "vocab.txt"), str(source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {s1}: model header spec is malformed: ")
 
 
 @pytest.mark.parametrize("command", ["preprocess", "scan"])

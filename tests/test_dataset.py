@@ -111,6 +111,22 @@ class TestLoadCorpus:
         assert [d.line_no for d in diags] == [6]
         assert diags[0].message == "byte 0xff at character 12 is not UTF-8"
 
+    @pytest.mark.parametrize("hostile, why", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"code": "x", "vulnerable": 0, "n": ' + "9" * 5000 + "}",
+         "Exceeds the limit (4300 digits)"),
+    ], ids=["deep-nesting", "5000-digits"])
+    def test_line_that_json_refuses_is_a_diagnostic(self, tmp_path, hostile, why):
+        # json raises RecursionError or a plain ValueError, not
+        # JSONDecodeError; either is one malformed line
+        lines = [line(code=f"int v{i};", vulnerable=0) for i in range(11)]
+        path = write_corpus(tmp_path, [*lines[:6], hostile, *lines[6:]])
+        diags = []
+        samples = load_corpus(path, diags)
+        assert [s.code for s in samples] == [f"int v{i};" for i in range(11)]
+        assert [d.line_no for d in diags] == [7]
+        assert diags[0].message.startswith(f"not valid JSON: {why}")
+
     def test_undecodable_lines_count_toward_the_bound(self, tmp_path):
         # 3 of 10 lines malformed is over the 20% bound
         path = tmp_path / "corpus.jsonl"

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -703,6 +704,102 @@ class TestRaggedRows:
         monkeypatch.setattr(layers, "np", Spy())
         model.forward(ids, training=training)
         assert heights == [(494, 91), (25, 91), (241, 1792), (16, 1792)]
+
+
+# Reference copies of the per-call walks the prefix map replaced: the first
+# follows each row's tail start through the stack, one pool (or fused block)
+# at a time; the second walks the declared layers back from the batch's last
+# first-tail output to the id columns it reads.
+
+def prefix_end(entries):
+    return next(i for i, layer in enumerate(entries)
+                if isinstance(layer, (Flatten, LSTM)))
+
+
+def reference_tails(model, ids):
+    nonpad = ids[:, ::-1] != 0
+    tails = np.where(nonpad.any(axis=1), ids.shape[1] - nonpad.argmax(axis=1), 0)
+    walk = [tails]
+    for layer in model.stack[:prefix_end(model.stack)]:
+        if isinstance(layer, MaxPool1D):
+            tails = -(-tails // layer.stride)
+        elif isinstance(layer, Conv1D) and layer.relu_pool:
+            tails = -(-tails // 2)
+        walk.append(tails)
+    return walk
+
+
+def reference_live_columns(model, tails):
+    n = int(tails.max(initial=0)) + 1
+    for layer in reversed(model.layers[1:prefix_end(model.layers)]):
+        if isinstance(layer, Conv1D):
+            n += layer.kernel_size - 1
+        elif isinstance(layer, MaxPool1D):
+            n = (n - 1) * layer.stride + layer.window
+    return min(n, model.spec.input_length)
+
+
+@st.composite
+def prefix_specs(draw):
+    """A detector whose prefix is 1-3 blocks: a convolution (kernel 1-7, 2-4
+    filters), an optional relu and a pool (window and stride 1-4, often 2x2,
+    so that a block with a relu fuses), over an input long enough for it.
+    Its embedding is 3 wide, or 40 so that the first convolution may fold."""
+    blocks = draw(st.lists(st.tuples(
+        st.integers(1, 7), st.integers(2, 4), st.booleans(),
+        st.one_of(st.just((2, 2)), st.tuples(st.integers(1, 4), st.integers(1, 4)))),
+        min_size=1, max_size=3))
+    need, layer_specs = 1, []  # the ids that give one prefix output
+    for kernel, _, _, (window, stride) in reversed(blocks):
+        need = (need - 1) * stride + window + kernel - 1
+    for kernel, filters, relu, (window, stride) in blocks:
+        layer_specs += [ConvSpec(filters, kernel), *[ActivationSpec("relu")] * relu,
+                        PoolSpec(window, stride)]
+    return ModelSpec(
+        stage=1, vocab_size=12, embedding_dim=draw(st.sampled_from([3, 40])),
+        input_length=need + draw(st.integers(0, 40)),
+        layers=(*layer_specs, FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid")))
+
+
+def spy_on_stack(model):
+    """Each forward call of a stack entry, in order: the entry, the tails it
+    was handed (None for an entry that reads none) and its input's width."""
+    calls = []
+    for layer in model.stack:
+        def spy(x, training=False, layer=layer, forward=layer.forward):
+            calls.append((layer, getattr(layer, "tails", None), np.shape(x)[1]))
+            return forward(x, training)
+        layer.forward = spy
+    return calls
+
+
+class TestPrefixMap:
+    """The prefix's stride and receptive field give the tails and the eval
+    columns the per-call walks gave, on random conv/relu/pool prefixes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=prefix_specs(), batch=st.sampled_from([1, 3, 6]), data=st.data())
+    def test_matches_the_walks(self, spec, batch, data):
+        model = build_model(spec, seed=5)
+        length = spec.input_length
+        lengths = data.draw(st.lists(st.integers(0, length),
+                                     min_size=batch, max_size=batch))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ids = ragged_ids(rng, lengths, length, vocab=12)
+        walk = reference_tails(model, ids)
+        # at one row the tails path is taken at every length
+        with mock.patch.object(layers, "MIN_GEMM_ROWS", 1):
+            want = full_length_forward(model, ids)
+            calls = spy_on_stack(model)
+            for training in (True, False):
+                calls.clear()
+                got = model.forward(ids, training=training)
+                for (layer, tails, _), at_input in zip(calls, walk[:-1]):
+                    if hasattr(layer, "tails"):
+                        np.testing.assert_array_equal(tails, at_input)
+                assert calls[0][2] == (length if training else
+                                       reference_live_columns(model, walk[-1]))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def two_block_detector_spec(vocab_size=12, embedding_dim=4, input_length=17):

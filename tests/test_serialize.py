@@ -197,6 +197,21 @@ class TestDamage:
         with pytest.raises(SpecCorruptError, match="spec"):
             load_model(rewrite(path, reseal(out[:-32])))
 
+    @pytest.mark.parametrize("field", ["kernel_size", "stride"])
+    def test_spec_of_zero_width_layer(self, saved, field):
+        # a zero kernel or pool stride divides by zero as the spec is
+        # assembled: a malformed spec, not a crash
+        path, _, _ = saved
+
+        def zero(header):
+            for entry in header["spec"]["layers"]:
+                if field in entry:
+                    entry[field] = 0
+
+        out = edit_header(path.read_bytes(), zero)
+        with pytest.raises(SpecCorruptError, match="spec is malformed"):
+            load_model(rewrite(path, reseal(out[:-32])))
+
     def test_spec_field_of_wrong_type(self, saved):
         path, _, _ = saved
 
