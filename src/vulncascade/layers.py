@@ -19,11 +19,20 @@ at D <= GATHER_COST: stage 2 (D 300) has a fold, stage 1 (D 13) none.
 
 A Conv1D with relu_pool set runs a Conv1D -> relu -> 2x2 MaxPool1D block
 per sample in cache, pool before relu, bit for bit the three layers.
+
+A Conv1D call of POOL_MIN_WORK multiply-adds or more runs on the CPUs the
+process may use over the threads OpenBLAS takes per call (read once), on a
+thread pool started at the first such call: numpy's matmul and ufuncs
+release the GIL.  Each thread runs the one-thread path's own operations on
+its share, so the results are the same bits for any thread count.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import ctypes
+import math
+import os
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,6 +160,108 @@ def sum_rows_by_id(ids: np.ndarray, upstream: np.ndarray, rows: int) -> np.ndarr
 # from the full-length GEMM's up to m = 4 at stage 1 and m = 9 at stage 2.
 MIN_GEMM_ROWS = 16
 
+# The fewest forward multiply-adds (rows multiplied * F * k * C) for which a
+# Conv1D call runs on more than one thread.  Measured, forward + backward in
+# ms, one thread -> two, best of 7, a third of each row live, one BLAS
+# thread, numpy 2.4.6, a shared 2-vCPU x86_64 box:
+#   stage-1 conv2, C 256, F 128, k 7:  B 1 (1.9e7): 4.78 -> 4.87
+#     B 2 (3.8e7): 8.96 -> 7.31    B 4 (7.6e7): 16.5 -> 11.2
+#   stage-1 conv1, C 13, F 256, k 7:   B 4 (1.6e7): 7.10 -> 6.99
+#     B 16 (6.2e7): 30.1 -> 27.9
+#   stage-2 conv2, C 64, F 128, k 3:   B 4 (6.6e6): 1.69 -> 2.13
+#     B 8 (1.3e7): 4.36 -> 3.37
+#   stage-2 conv1 unfolded, C 300, F 64, k 3:  B 1 (7.7e6): 1.90 -> 2.04
+#     B 2 (1.5e7): 3.52 -> 3.15
+# The crossover is near 1.5e7.  The bar stands above the 3.8e7 of the
+# stage-1 conv2 in scan's per-file batch of 10 short rows, so that a scan
+# call, of a few ms, keeps to the calling thread and its heap.
+POOL_MIN_WORK = 10**8
+
+
+def _blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs per call, or None where that cannot
+    be read (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not a loadable path, such as "(deleted)"
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+@cache
+def _worker_count() -> int:
+    """Threads a Conv1D runs on: the CPUs this process may use over the
+    threads each BLAS call already takes, so the two never oversubscribe the
+    CPUs; 1 where the BLAS count is unknown."""
+    blas = _blas_threads()
+    if not blas or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // blas)
+
+
+@cache
+def _executor(threads: int):
+    # imported at the first pool call: the import takes some 7 ms, which a
+    # process that never fills the pool (every scan) need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="vulncascade-conv")
+
+
+def _balance(costs: list[int], n: int) -> list[list[int]]:
+    """The indices of costs in at most n shares of near-equal total: each
+    next-costliest one to the share with the least so far."""
+    shares = [[] for _ in range(min(n, len(costs)))]
+    totals = [0] * len(shares)
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        w = totals.index(min(totals))
+        shares[w].append(i)
+        totals[w] += costs[i]
+    return shares
+
+
+def _staged(rows: np.ndarray, stage: np.ndarray | None) -> np.ndarray:
+    """rows copied into the head of stage, which the calling thread
+    allocated; rows themselves where there is no stage (one thread).
+    numpy multiplies a view whose rows overlap, as im2col rows do, by first
+    copying it into memory of the running thread's malloc arena, which a
+    pool thread would then keep."""
+    if stage is None:
+        return rows
+    head = stage[:len(rows)]
+    np.copyto(head, rows)
+    return head
+
+
+def _parallel(task, n: int) -> None:
+    """Runs task(0) on the calling thread and task(1) .. task(n - 1) on the
+    pool, and returns, or raises the first exception, once all n are done.
+
+    Tasks run numpy on arrays the caller allocated and write disjoint parts
+    of them.  Each thread that allocates gets its own malloc arena, which
+    keeps what it freed, so a task allocates nothing large itself.
+    """
+    futures = [_executor(n - 1).submit(task, w) for w in range(1, n)]
+    try:
+        task(0)
+    finally:
+        for future in futures:
+            future.exception()  # waits for it
+    for future in futures:
+        future.result()
+
 
 class Conv1D(Layer):
     """Valid (no padding), stride-1 temporal convolution: (B,L,C) -> (B,L-k+1,F).
@@ -178,6 +289,15 @@ class Conv1D(Layer):
     buffer and adds its rows to the bias gradient after a row holding the
     sum so far, in the order the full array's sum(axis=(0, 1)) takes.  With
     one filter that sum is pairwise, so Model fuses only two or more.
+
+    On more than one thread (_workers), a forward splits the samples.  A
+    backward takes one sample per thread at a time: the threads first
+    split the filters, for the gradient rebuild, the bias row and the tail
+    sums, all elementwise or sums down each column; then the samples' dW
+    terms and dx products, each one whole GEMM on one thread.  dW adds the
+    terms in sample order, filter blocks split between the threads.  No
+    product is split, since OpenBLAS can round a part of a product apart
+    from the same rows of the whole.
     """
 
     PARAMS = ("weights", "bias")
@@ -202,9 +322,16 @@ class Conv1D(Layer):
         """(B, L', k*C) im2col rows of a C-contiguous x and (F, k*C) weights."""
         k, c = self.kernel_size, self.in_channels
         windows = sliding_window_view(x, k, axis=1).transpose(0, 1, 3, 2)
-        cols = windows.reshape(x.shape[0], -1, k * c)
+        cols = windows.reshape(x.shape[0], x.shape[1] - k + 1, k * c)
         w_cols = self.weights.transpose(0, 2, 1).reshape(self.filters, k * c)
         return cols, w_cols
+
+    def _workers(self, rows: list[int], w_cols: np.ndarray) -> int:
+        """Threads for a call multiplying these rows: 1 below POOL_MIN_WORK,
+        and never more than there are samples."""
+        if sum(rows) * w_cols.size < POOL_MIN_WORK:
+            return 1
+        return max(1, min(_worker_count(), len(rows)))
 
     def forward(self, x, training: bool = False):
         tails, self.tails = self.tails, None
@@ -221,23 +348,32 @@ class Conv1D(Layer):
         batch, l_out = cols.shape[:2]
         rows = ([l_out] * batch if tails is None
                 else np.minimum(np.maximum(tails + 1, MIN_GEMM_ROWS), l_out).tolist())
-        masks = None
+        workers = self._workers(rows, w_cols)
+        # per thread, one sample's im2col rows (see _staged)
+        stage = np.empty((workers, *cols.shape[1:])) if workers > 1 else [None]
+        masks = convs = None
         if self.relu_pool:
             if l_out < 2:
                 raise InputTooShortError(f"sequence length {l_out} < pool window 2")
-            conv = np.empty((l_out, self.filters))  # one sample's output
+            # per thread, one sample's convolution output
+            convs = np.empty((workers, l_out, self.filters))
             out = np.empty((batch, l_out // 2, self.filters))
             if training:
                 masks = np.empty((2, *out.shape), dtype=bool)
         else:
             out = np.empty((batch, l_out, self.filters))
-        for b, m in enumerate(rows):
-            y = conv if self.relu_pool else out[b]
-            np.matmul(cols[b, :m], w_cols.T, out=y[:m])
-            y[:m] += self.bias
-            y[m:] = y[m - 1]
-            if self.relu_pool:
-                _relu_pool_forward(y, out[b], None if masks is None else masks[:, b])
+
+        def samples(w):  # every workers-th sample from w on
+            for b in range(w, batch, workers):
+                m = rows[b]
+                y = out[b] if convs is None else convs[w]
+                np.matmul(_staged(cols[b, :m], stage[w]), w_cols.T, out=y[:m])
+                y[:m] += self.bias
+                y[m:] = y[m - 1]
+                if convs is not None:
+                    _relu_pool_forward(y, out[b], None if masks is None else masks[:, b])
+
+        _parallel(samples, workers)
         self._x = x if training else None
         self._rows = rows if training else None
         self._masks = masks
@@ -249,32 +385,71 @@ class Conv1D(Layer):
         masks, self._masks = self._masks, None
         k, c, f = self.kernel_size, self.in_channels, self.filters
         cols, w_cols = self._im2col(x)
-        l_out = cols.shape[1]
+        batch, l_out = cols.shape[:2]
+        workers = self._workers(rows, w_cols)
         if masks is None:
             self.grad["bias"][...] = upstream.sum(axis=(0, 1))
-        else:
-            # row 0: the bias gradient so far; rows 1..: one sample's
-            # convolution gradient (an odd L' leaves the last one zero)
-            acc = np.zeros((l_out + 1, f))
+        # filter blocks of whole 16s (a one-column slice would sum pairwise),
+        # one per thread, the last taking the rest
+        blocks = max(1, min(workers, f // 16))
+        edges = [16 * (f // 16 * i // blocks) for i in range(blocks)] + [f]
+        # the backward takes one sample per thread at a time (a chunk):
+        # grads holds, per sample, row 0: the bias gradient before it
+        # (fused); rows 1..: its convolution gradient (an odd L' leaves the
+        # last zero)
+        grads = np.zeros((workers, l_out + 1, f))
+        bias = np.zeros(f)  # the bias gradient so far (fused)
+        terms = np.empty((workers, f, k * c))  # each sample's dW term
+        # per thread, one sample's im2col rows or dx columns (see _staged)
+        stage = np.empty((workers, l_out, k * c)) if workers > 1 else [None]
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
-        for b, m in enumerate(rows):
-            if masks is None:
-                d = upstream[b]
-            else:
-                d = acc[1:]
-                _relu_pool_backward(upstream[b], masks[:, b], d)
-                acc[0] = np.add.reduce(acc[1:] if b == 0 else acc, axis=0)
-            up = d[:m]
-            if m < l_out:
-                up = up.copy()
-                up[-1] += d[m:].sum(axis=0)
-            dw += up.T @ cols[b, :m]
-            dcols = (up @ w_cols).reshape(m, k, c)
-            for j in range(k):
-                dx[b, j:j + m] += dcols[:, j]
+        added = range(0)
+
+        def filter_block(w):
+            """Block w of dW plus the last chunk's terms, in sample order,
+            and of this chunk's gradients."""
+            lo, hi = edges[w], edges[w + 1]
+            for i in added:
+                dw[lo:hi] += terms[i, lo:hi]
+            for i, b in enumerate(part):
+                g = grads[i, :, lo:hi]
+                d = g[1:]
+                if masks is None:
+                    d[...] = upstream[b, :, lo:hi]
+                else:
+                    _relu_pool_backward(upstream[b, :, lo:hi], masks[:, b, :, lo:hi], d)
+                    g[0] = bias[lo:hi]
+                    np.add.reduce(g if b else d, axis=0, out=bias[lo:hi])
+                m = rows[b]
+                if m < l_out:
+                    d[m - 1] += d[m:].sum(axis=0)
+
+        def products(w):
+            """Share w of the chunk's products: of its n samples, item i < n
+            is sample i's dW term and item n + i its dx."""
+            for item in shares[w]:
+                i = item % len(part)
+                b, m = part[i], rows[part[i]]
+                up = grads[i, 1:m + 1]
+                if item < len(part):
+                    np.matmul(up.T, _staged(cols[b, :m], stage[w]), out=terms[i])
+                    continue
+                dc = np.matmul(up, w_cols, out=None if stage[w] is None
+                               else stage[w][:m]).reshape(m, k, c)
+                for j in range(k):
+                    dx[b, j:j + m] += dc[:, j]
+
+        for start in range(0, batch, workers):
+            part = range(start, min(start + workers, batch))
+            _parallel(filter_block, blocks)
+            shares = _balance([rows[b] for b in part] * 2, workers)
+            _parallel(products, len(shares))
+            added = range(len(part))
+        part = range(0)
+        _parallel(filter_block, blocks)  # the last chunk's terms
         if masks is not None:
-            self.grad["bias"][...] = acc[0]
+            self.grad["bias"][...] = bias
         self.grad["weights"][...] = dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
 
@@ -386,7 +561,8 @@ def _scatter_pairs(upstream, first_wins, dx) -> tuple[np.ndarray, np.ndarray]:
 
 def _relu_pool_forward(a, out, masks) -> None:
     """out = relu of a 2x2 max pool over axis -2 of a, which is
-    max(relu(first), relu(second)) bit for bit since relu is monotone.
+    max(relu(first), relu(second)) bit for bit since relu is monotone; a
+    training call leaves a's first elements changed.
 
     masks is None in eval, and in training a (2, *out.shape) bool array to
     fill for _relu_pool_backward: whether relu then pool routes the pair's
@@ -396,11 +572,11 @@ def _relu_pool_forward(a, out, masks) -> None:
     """
     first, second = _pairs(a, out.shape[-2])
     np.maximum(first, second, out=out)
-    if masks is not None:
+    if masks is not None:  # a's first elements serve as scratch once read
         first_wins, live = masks
         np.greater_equal(first, second, out=first_wins)
-        first_wins |= out <= 0
-        np.greater(np.fmax(out, second), 0.0, out=live)
+        first_wins |= np.less_equal(out, 0.0, out=live)
+        np.greater(np.fmax(out, second, out=first), 0.0, out=live)
     np.maximum(out, 0.0, out=out)
 
 
@@ -669,7 +845,7 @@ class Flatten(Layer):
 
     def forward(self, x, training: bool = False):
         self._shape = x.shape if training else None
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, upstream):
         return upstream.reshape(self._shape)

@@ -47,7 +47,13 @@ from enum import Enum
 import numpy as np
 
 from .dataset import LabelMap
-from .errors import IncompatibleSpecError, PipelineError, ShapeMismatchError
+from .errors import (
+    BatchTooSmallError,
+    IncompatibleSpecError,
+    PipelineError,
+    ShapeMismatchError,
+    SpecCorruptError,
+)
 from .layers import (
     Activation,
     BatchNorm1D,
@@ -242,6 +248,8 @@ class Model:
             raise ShapeMismatchError(
                 f"expected a (B, {self.spec.input_length}) id batch, got {ids.shape}"
             )
+        if training and not ids.shape[0]:
+            raise BatchTooSmallError("a training forward needs at least one row")
         self.forward_calls += 1
         self.eval_samples += ids.shape[0]
         self._cached_training_forward = False
@@ -318,10 +326,30 @@ def build_model(spec: ModelSpec, seed: int = 0) -> Model:
     return _assemble(spec, np.random.default_rng(seed))
 
 
+# the fields of each layer descriptor that size it
+_SIZES = {ConvSpec: ("filters", "kernel_size"), PoolSpec: ("window", "stride"),
+          LSTMSpec: ("units",), DenseSpec: ("units",)}
+
+
+def _check_sizes(spec: ModelSpec) -> None:
+    """Every size in the spec must be a positive integer."""
+    sizes = [(name, getattr(spec, name))
+             for name in ("vocab_size", "embedding_dim", "input_length")]
+    for i, ls in enumerate(spec.layers):
+        sizes += [(f"layer {i} ({_TYPE_NAMES[type(ls)]}) {name}", getattr(ls, name))
+                  for name in _SIZES.get(type(ls), ())]
+    for name, value in sizes:
+        if type(value) is not int or value < 1:
+            raise SpecCorruptError(
+                f"model spec is malformed: {name} {value!r} is not a positive integer")
+
+
 def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
     """Walk the spec's shapes and allocate its layers.  Parameters are drawn
-    from rng in layer order; with no rng the randomly initialized ones are
-    left uninitialized, for a caller that fills every tensor."""
+    from rng in layer order, once every size is checked; with no rng the
+    randomly initialized ones are left uninitialized, for a caller that
+    fills every tensor."""
+    _check_sizes(spec)
     layers: list[Layer] = [Embedding(spec.vocab_size, spec.embedding_dim, rng)]
     fold = prefix = None
     # shape state after the embedding: a (length, channels) sequence

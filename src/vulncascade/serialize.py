@@ -89,7 +89,7 @@ def load_model(path: str) -> tuple[Model, ModelHeader]:
         spec = ModelSpec.from_dict(header_raw["spec"])
         _check_head(spec)
         model = _assemble(spec, rng=None)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, MemoryError) as exc:
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise SpecCorruptError(f"model header spec is malformed: {exc}") from exc
     for name in ("stage", "vocab_hash", "label_classes"):
         if name not in header_raw:

@@ -8,6 +8,7 @@ import re
 import shutil
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,30 @@ def test_model_spec_too_large_to_allocate_is_named(workspace, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {s1}: model header spec is malformed: ")
+
+
+def test_negative_kernel_is_refused_without_a_warning(workspace, tmp_path, capsys):
+    # a resealed stage-1 file with kernel -3: one error line, and no numpy
+    # warning from drawing weights of a negative size first
+    def negative(header):
+        for entry in header["spec"]["layers"]:
+            if entry["type"] == "conv":
+                entry["kernel_size"] = -3
+
+    s1 = tmp_path / "s1.vcmd"
+    s1.write_bytes(reseal(edit_header(workspace["s1"].read_bytes(), negative)[:-32]))
+    source = tmp_path / "unit.c"
+    source.write_text("int add(int a, int b) { return a + b; }\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # printed to stderr, as the CLI would
+        code = main(["scan", "--stage1", str(s1), "--stage2", str(workspace["s2"]),
+                     "--vocab", str(workspace["data"] / "vocab.txt"), str(source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {s1}: ")
+    assert "kernel_size -3 is not a positive integer" in captured.err
+    assert captured.err.count("\n") == 1 and "Warning" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["preprocess", "scan"])

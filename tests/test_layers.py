@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -367,6 +370,156 @@ class TestReluPool:
         fused, _ = relu_pool_pair(2, 3, 3, rng)
         with pytest.raises(InputTooShortError):
             fused.forward(rng.standard_normal((1, 3, 2)))
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Sets the Conv1D thread count, the work bar lowered to 0 so that every
+    call with two or more samples uses the pool."""
+    def use(n):
+        monkeypatch.setattr(layers_module, "_worker_count", lambda: n)
+        monkeypatch.setattr(layers_module, "POOL_MIN_WORK", 0)
+    return use
+
+
+def conv_step(conv, x, tails, upstream):
+    """Training output, masks, dx, dW and db, then the eval output."""
+    conv.tails = tails
+    out = conv.forward(x, training=True)
+    masks = conv._masks
+    dx = conv.backward(upstream)
+    conv.tails = tails
+    return (out, masks, dx, conv.grad["weights"].copy(), conv.grad["bias"].copy(),
+            conv.forward(x))
+
+
+class TestConv1DThreads:
+    """A Conv1D gives the same bits on any number of threads."""
+
+    # (C, F, k, L, fused): stage 1's two blocks, stage 2's second
+    # convolution, and stage 2's first run unfolded
+    SHAPES = {
+        "stage1_conv1": (13, 256, 7, 500, True),
+        "stage1_conv2": (256, 128, 7, 247, True),
+        "stage2_conv2": (64, 128, 3, 199, False),
+        "stage2_conv1": (300, 64, 3, 400, False),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("tails", [[0, 9, 500, 120, 31, 0, 260], [40], []],
+                             ids=["ragged", "one", "zero"])
+    def test_any_thread_count_gives_the_same_bits(self, shape, tails, threads):
+        c, f, k, length, fused = self.SHAPES[shape]
+        rng = np.random.default_rng(f + len(tails))
+        tails = np.minimum(np.array(tails, dtype=np.int64), length)
+        x = rng.standard_normal((len(tails), length, c))
+        for row, start in enumerate(tails):  # 0: a row of PAD alone
+            x[row, start:] = rng.standard_normal(c)
+        conv = Conv1D(c, f, k, rng)
+        conv.bias[:] = rng.standard_normal(f)
+        conv.relu_pool = fused
+        l_out = length - k + 1
+        upstream = rng.standard_normal((len(tails), l_out // 2 if fused else l_out, f))
+        results = {}
+        for n in (1, 2, 3, 4):
+            threads(n)
+            results[n] = conv_step(conv, x, tails, upstream)
+        for n in (2, 3, 4):
+            for got, want in zip(results[n], results[1]):
+                if want is not None:
+                    same_bits(got, want)
+
+    def test_more_threads_than_cores_under_fast_switching(self, threads):
+        # a lost or misordered write would move some bit
+        c, f, k, length, fused = self.SHAPES["stage1_conv2"]
+        rng = np.random.default_rng(5)
+        conv = Conv1D(c, f, k, rng)
+        conv.relu_pool = True
+        x = rng.standard_normal((9, length, c))
+        tails = np.array([0, 50, 247, 16, 100, 3, 200, 247, 90])
+        upstream = rng.standard_normal((9, (length - k + 1) // 2, f))
+        threads(1)
+        want = conv_step(conv, x, tails, upstream)
+        threads(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = conv_step(conv, x, tails, upstream)
+        finally:
+            sys.setswitchinterval(interval)
+        for got_part, want_part in zip(got, want):
+            same_bits(got_part, want_part)
+
+    def test_a_thread_error_reaches_the_caller_once_every_thread_is_done(
+            self, threads, monkeypatch):
+        # the calling thread fails at once; the pool's threads, slower,
+        # have all stopped writing by the time the error arrives
+        threads(3)
+        pooled = []
+        relu_pool_forward = layers_module._relu_pool_forward
+
+        def failing(a, out, masks):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("in the calling thread")
+            time.sleep(0.05)
+            relu_pool_forward(a, out, masks)
+            pooled.append(time.perf_counter())
+
+        monkeypatch.setattr(layers_module, "_relu_pool_forward", failing)
+        conv, _ = relu_pool_pair(3, 4, 3, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="calling thread"):
+            conv.forward(np.random.default_rng(1).standard_normal((6, 20, 3)))
+        raised = time.perf_counter()
+        assert len(pooled) == 4 and max(pooled) < raised
+
+    def test_a_pool_thread_error_reaches_the_caller(self, threads, monkeypatch):
+        threads(2)
+
+        def failing(upstream, masks, da):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("in a pool thread")
+            relu_pool_backward(upstream, masks, da)
+
+        relu_pool_backward = layers_module._relu_pool_backward
+
+        monkeypatch.setattr(layers_module, "_relu_pool_backward", failing)
+        conv, _ = relu_pool_pair(3, 32, 3, np.random.default_rng(0))
+        out = conv.forward(np.ones((4, 20, 3)), training=True)
+        with pytest.raises(ValueError, match="pool thread"):
+            conv.backward(np.ones_like(out))
+
+    def test_work_below_the_bar_stays_on_the_calling_thread(self, monkeypatch):
+        # scan's per-file stage-1 batch: 10 short rows through conv2
+        monkeypatch.setattr(layers_module, "_worker_count", lambda: 4)
+        seen = set()
+        for name in ("_relu_pool_forward", "_relu_pool_backward"):
+            def spy(*args, helper=getattr(layers_module, name)):
+                seen.add(threading.get_ident())
+                return helper(*args)
+            monkeypatch.setattr(layers_module, name, spy)
+        c, f, k, length, _ = self.SHAPES["stage1_conv2"]
+        conv, _ = relu_pool_pair(c, f, k, np.random.default_rng(2))
+        x = np.random.default_rng(3).standard_normal((10, length, c))
+        tails = np.full(10, 20)
+        conv_step(conv, x, tails, np.ones((10, (length - k + 1) // 2, f)))
+        assert seen == {threading.get_ident()}
+        monkeypatch.setattr(layers_module, "POOL_MIN_WORK", 0)
+        conv_step(conv, x, tails, np.ones((10, (length - k + 1) // 2, f)))
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("cpus, blas, want", [
+        (2, 1, 2), (2, 2, 1), (4, 2, 2), (1, 1, 1), (2, 4, 1), (2, None, 1),
+    ])
+    def test_thread_count_is_cpus_over_blas_threads(self, monkeypatch, cpus,
+                                                    blas, want):
+        monkeypatch.setattr(layers_module, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(layers_module.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert layers_module._worker_count.__wrapped__() == want
+
+    def test_blas_thread_count_is_read_or_unknown(self):
+        count = layers_module._blas_threads()
+        assert count is None or count >= 1
 
 
 class TestMaxPool:

@@ -1,22 +1,26 @@
 """Model assembly, the two factory architectures, and the cascade decision."""
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulncascade import layers
+from vulncascade import layers, models as models_module
 from vulncascade.dataset import LabelMap
 from vulncascade.errors import (
+    BatchTooSmallError,
     IdOutOfRangeError,
     IncompatibleSpecError,
     PipelineError,
     ShapeMismatchError,
+    SpecCorruptError,
 )
 from vulncascade.layers import (
     Activation,
@@ -224,6 +228,30 @@ class TestBuildModel:
         with pytest.raises(IncompatibleSpecError, match="flat"):
             build_model(spec)
 
+    # (layer index or None for the spec itself, field) of every size in
+    # tiny_stage2_spec
+    SIZES = [(None, "vocab_size"), (None, "embedding_dim"), (None, "input_length"),
+             (0, "filters"), (0, "kernel_size"), (3, "window"), (3, "stride"),
+             (4, "units"), (5, "units"), (6, "units")]
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "7", True, None])
+    @pytest.mark.parametrize("where, name", SIZES)
+    def test_sizes_are_checked_before_any_weight_is_drawn(self, where, name, value):
+        spec = tiny_stage2_spec()
+        if where is None:
+            spec = dataclasses.replace(spec, **{name: value})
+        else:
+            layers_ = list(spec.layers)
+            layers_[where] = dataclasses.replace(layers_[where], **{name: value})
+            spec = dataclasses.replace(spec, layers=tuple(layers_))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecCorruptError, match=f"{name} {value!r} is not a positive"):
+                models_module._assemble(spec, rng)
+        assert rng.bit_generator.state == state
+
 
 def folding_stage2_spec(vocab_size=6, num_classes=3):
     """A tiny classifier whose wide embedding takes the fold at 2 rows."""
@@ -252,6 +280,17 @@ class TestForward:
         model.forward(np.zeros((5, 12), dtype=np.int64))
         assert model.forward_calls == 2
         assert model.eval_samples == 8
+
+    @pytest.mark.parametrize("spec", [stage1_spec(20), stage2_spec(20, 4)],
+                             ids=["stage1", "stage2"])
+    def test_zero_rows(self, spec):
+        # an eval forward of no rows has no outputs; a training forward of
+        # none has no batch to learn from
+        model = build_model(spec)
+        ids = np.zeros((0, spec.input_length), dtype=np.int64)
+        assert model.forward(ids).shape == (0, model.output_width)
+        with pytest.raises(BatchTooSmallError):
+            model.forward(ids, training=True)
 
     def test_stage1_output_is_probability(self, rng):
         model = build_model(tiny_stage1_spec())
@@ -658,6 +697,32 @@ class TestRaggedRows:
             with pytest.raises(IdOutOfRangeError):
                 model.forward(ids, training=training)
             assert all(holder.tails is None for holder in holders)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("lengths", [[500, 0, 37, 260, 0], [120], []],
+                             ids=["ragged", "one", "zero"])
+    def test_any_thread_count_gives_the_same_bits(self, stage, lengths, monkeypatch):
+        # stage 1's two fused blocks and stage 2's second convolution on the
+        # pool, every call of two or more rows on it; a batch of fewer rows
+        # than threads; all-PAD rows.  Zero rows forward in eval alone.
+        monkeypatch.setattr(layers, "POOL_MIN_WORK", 0)
+        spec = stage1_spec(20) if stage == 1 else stage2_spec(20, 4)
+        ids = ragged_ids(np.random.default_rng(stage),
+                         [min(n, spec.input_length) for n in lengths], spec.input_length)
+        upstream = np.random.default_rng(7).standard_normal((len(lengths), 1 + 3 * (stage - 1)))
+        results = {}
+        for n in (1, 2, 3, 4):
+            monkeypatch.setattr(layers, "_worker_count", lambda: n)
+            model = build_model(spec, seed=stage)
+            got = [model.forward(ids)]
+            if len(lengths) > 1:  # stage 2's BatchNorm trains on 2 rows or more
+                got.append(model.forward(ids, training=True))
+                model.backward(upstream)
+                got += model.grads()
+            results[n] = got
+        for n in (2, 3, 4):
+            for got, want in zip(results[n], results[1]):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gradient_check(self, monkeypatch):
         # the tiny model's rows are shorter than MIN_GEMM_ROWS: at 1, its
