@@ -197,6 +197,8 @@ def cmd_train(args) -> int:
 
     train_path, _ = _train_paths(args.data, args.stage)
     arch = load_archive(train_path)
+    if not arch.count:
+        raise CliError(f"{train_path}: no rows to train on")
     vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
     _check_hash(vocab.content_hash(), arch.vocab_hash)
 
@@ -263,6 +265,8 @@ def cmd_evaluate(args) -> int:
     stage1, header1 = _load_stage(args.stage1, 1)
     _, test1_path = _train_paths(args.data, 1)
     arch1 = load_archive(test1_path)
+    if not arch1.count:
+        raise CliError(f"{test1_path}: no rows to evaluate on")
     _check_hash(header1.vocab_hash, arch1.vocab_hash)
 
     if args.stage2:

@@ -20,11 +20,11 @@ at D <= GATHER_COST: stage 2 (D 300) has a fold, stage 1 (D 13) none.
 A Conv1D with relu_pool set runs a Conv1D -> relu -> 2x2 MaxPool1D block
 per sample in cache, pool before relu, bit for bit the three layers.
 
-A Conv1D call of POOL_MIN_WORK multiply-adds or more runs on the CPUs the
-process may use over the threads OpenBLAS takes per call (read once), on a
-thread pool started at the first such call: numpy's matmul and ufuncs
-release the GIL.  Each thread runs the one-thread path's own operations on
-its share, so the results are the same bits for any thread count.
+Import sets OpenBLAS, whose thread count moves bits, to one thread per call
+process-wide.  A Conv1D call of POOL_MIN_WORK multiply-adds or more runs on
+the CPUs the process may use instead, on a pool started at the first such
+call (numpy's matmul and ufuncs release the GIL).  Each thread runs the
+one-thread path's own operations on its share: the same bits at any count.
 """
 
 from __future__ import annotations
@@ -178,9 +178,8 @@ MIN_GEMM_ROWS = 16
 POOL_MIN_WORK = 10**8
 
 
-def _blas_threads() -> int | None:
-    """Threads the loaded OpenBLAS runs per call, or None where that cannot
-    be read (another BLAS, or no /proc)."""
+def _openblas(name: str):
+    """The loaded OpenBLAS's function name, or None (another BLAS, or no /proc)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -191,24 +190,25 @@ def _blas_threads() -> int | None:
             lib = ctypes.CDLL(path)
         except OSError:  # not a loadable path, such as "(deleted)"
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn()
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
     return None
+
+
+_set_blas_threads = _openblas("set_num_threads")
+if _set_blas_threads is not None:
+    _set_blas_threads.argtypes, _set_blas_threads.restype = [ctypes.c_int], None
+    _set_blas_threads(1)
 
 
 @cache
 def _worker_count() -> int:
-    """Threads a Conv1D runs on: the CPUs this process may use over the
-    threads each BLAS call already takes, so the two never oversubscribe the
-    CPUs; 1 where the BLAS count is unknown."""
-    blas = _blas_threads()
-    if not blas or not hasattr(os, "sched_getaffinity"):
+    """Threads a Conv1D runs on: the CPUs this process may use; 1 where no
+    OpenBLAS was set to one thread, as another BLAS may run its own."""
+    if _set_blas_threads is None or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, len(os.sched_getaffinity(0)) // blas)
+    return len(os.sched_getaffinity(0))
 
 
 @cache

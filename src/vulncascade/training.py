@@ -95,14 +95,17 @@ def train(
 ) -> TrainResult:
     """Train in place and return the per-epoch log.
 
-    ids is an (N, inputLength) id matrix, labels an (N,) vector of 0/1 for a
-    binary model or class indices otherwise; ValueError if they are not.
+    ids is an (N, inputLength) id matrix with N >= 1, labels an (N,) vector
+    of 0/1 for a binary model or class indices otherwise; ValueError if they
+    are not.
     Raises DivergenceError with the offending step index if the loss ever
     goes non-finite.
     """
     ids = np.asarray(ids)
     labels = np.asarray(labels, dtype=np.int64)
     binary = model.output_width == 1
+    if not ids.shape[0]:
+        raise ValueError("no rows to train on")
     if labels.shape != (ids.shape[0],):
         raise ValueError(f"labels must be ({ids.shape[0]},), one per row, got {labels.shape}")
     bound = 2 if binary else model.output_width

@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import time
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads: default threading oversubscribes a
 # small box and slows the suite several-fold when another job shares it.
@@ -13,6 +14,21 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from vulncascade.errors import ShapeMismatchError  # noqa: E402
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def blas_env(threads):
+    """os.environ for a child process, with src/ on its path and
+    OPENBLAS_NUM_THREADS set to threads, or unset where threads is None.
+    OMP_NUM_THREADS, which OpenBLAS reads in its place, is unset too, since
+    this session sets it."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
 
 
 def gradient_check(loss_fn, params, analytic_grads, step=1e-5, max_coords=50,

@@ -1,13 +1,14 @@
 """Command line pipeline: preprocess, train, evaluate, scan, smote-report."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
 import re
 import shutil
+import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulncascade import cli
-from vulncascade.archive import LABEL_BINARY, LABEL_CLASS, load_archive
+from vulncascade.archive import (
+    LABEL_BINARY,
+    LABEL_CLASS,
+    EncodedArchive,
+    load_archive,
+    save_archive,
+)
 from vulncascade.cli import _reencode_rows, main
 from vulncascade.dataset import LabelMap
 from vulncascade.models import build_model, stage2_spec
@@ -27,10 +34,10 @@ from vulncascade.normalizer import (
     tokenize,
 )
 from vulncascade.serialize import load_model, save_model
-from vulncascade.vocab import Vocabulary
+from vulncascade.vocab import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 from c_snippets import SNIPPETS
-from conftest import edit_header, growth_ratio, reseal
+from conftest import blas_env, edit_header, growth_ratio, reseal
 
 CLEAN_BODIES = [
     "int add(int a, int b) { return a + b; }",
@@ -186,9 +193,7 @@ class TestSplitFunctions:
     def test_unclosed_parens_take_linear_time(self):
         # each a( opens a paren that never closes; the nested-scan split
         # rescans to the end of input from every one of them
-        start = time.perf_counter()
         assert split_functions(tokenize("a(" * 10_000)) == []
-        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("unit", ["a(", "{"])
     def test_unclosed_runs_grow_linearly(self, unit):
@@ -493,6 +498,33 @@ class TestTrain:
                   "--out", str(tmp_path / "m.vcmd")])
         assert info.value.code == 2
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # criterion 5's data and 3 epochs, each run a fresh process, since
+        # this session sets OPENBLAS_NUM_THREADS
+        rng = np.random.default_rng(123)
+        labels = np.arange(32) % 2
+        ids = np.where(labels[:, None] == 1, rng.integers(2, 14, size=(32, 500)),
+                       rng.integers(9, 22, size=(32, 500)))
+        vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN, *(f"t{i}" for i in range(2, 24))])
+        data = tmp_path / "data"
+        data.mkdir()
+        vocab.save(data / "vocab.txt")
+        save_archive(EncodedArchive(LABEL_BINARY, 500, 2, vocab.content_hash(), ids,
+                                    np.full(32, 500), labels),
+                     str(data / "stage1_train.vcen"))
+        runs = []
+        for blas in (None, "1", "2"):
+            work = tmp_path / f"blas_{blas}"
+            work.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-m", "vulncascade.cli", "train", "--stage", "1",
+                 "--data", str(data), "--out", "m.vcmd", "--epochs", "3"],
+                cwd=work, env=blas_env(blas), capture_output=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, (work / "m.vcmd").read_bytes()))
+        assert runs[0][0].count(b"epoch ") == 3
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_tokens_holding_other_line_breaks_train(self, tmp_path):
         # the lexer keeps each of these as a one-character punctuator, so
         # vocab.txt holds them and must load back as it was written
@@ -568,6 +600,26 @@ MISMATCHED_PAIRS = [
     ("s1", "s1", "--stage2", 1),
     ("s2", "s1", "--stage1", 2),
 ]
+
+
+@pytest.mark.parametrize("archive, command, reason", [
+    ("stage1_train.vcen", ["train", "--stage", "1"], "no rows to train on"),
+    ("stage2_train.vcen", ["train", "--stage", "2"], "no rows to train on"),
+    ("stage1_test.vcen", ["evaluate"], "no rows to evaluate on"),
+])
+def test_empty_archive_is_refused_with_its_path(workspace, tmp_path, capsys,
+                                                archive, command, reason):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    full = load_archive(str(data / archive))
+    empty = dataclasses.replace(full, ids=full.ids[:0], true_lengths=full.true_lengths[:0],
+                                labels=full.labels[:0])
+    save_archive(empty, str(data / archive))
+    out = tmp_path / "m.vcmd"
+    models = ["--out", str(out)] if command[0] == "train" else ["--stage1", str(workspace["s1"])]
+    assert main(command + ["--data", str(data)] + models) == 2
+    assert capsys.readouterr().err == f"error: {data / archive}: {reason}\n"
+    assert not out.exists()
 
 
 def assert_pair_refused(workspace, capsys, code, flag, found):

@@ -1,3 +1,5 @@
+import json
+import subprocess
 import sys
 import threading
 import time
@@ -32,7 +34,7 @@ from vulncascade.layers import (
     softmax,
 )
 
-from conftest import gradient_check, layer_grad_error
+from conftest import blas_env, gradient_check, layer_grad_error
 
 
 # Reference copies of the sliding-window pool, the tensordot convolution
@@ -372,6 +374,18 @@ class TestReluPool:
             fused.forward(rng.standard_normal((1, 3, 2)))
 
 
+# numpy's BLAS, and what a fresh process reports after importing the layers:
+# OpenBLAS's threads per call (None where there is no OpenBLAS), the Conv1D
+# thread count and the CPUs the process may use
+NUMPY_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+BLAS_REPORT = """
+import json, os
+from vulncascade import layers
+get = layers._openblas("get_num_threads")
+print(json.dumps([get and get(), layers._worker_count(), len(os.sched_getaffinity(0))]))
+"""
+
+
 @pytest.fixture
 def threads(monkeypatch):
     """Sets the Conv1D thread count, the work bar lowered to 0 so that every
@@ -507,19 +521,36 @@ class TestConv1DThreads:
         conv_step(conv, x, tails, np.ones((10, (length - k + 1) // 2, f)))
         assert len(seen) > 1
 
-    @pytest.mark.parametrize("cpus, blas, want", [
-        (2, 1, 2), (2, 2, 1), (4, 2, 2), (1, 1, 1), (2, 4, 1), (2, None, 1),
-    ])
-    def test_thread_count_is_cpus_over_blas_threads(self, monkeypatch, cpus,
-                                                    blas, want):
-        monkeypatch.setattr(layers_module, "_blas_threads", lambda: blas)
+    @pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "1", "2"])
+    def test_import_sets_openblas_to_one_thread(self, blas):
+        # a fresh process, since this session sets OPENBLAS_NUM_THREADS
+        done = subprocess.run([sys.executable, "-c", BLAS_REPORT], env=blas_env(blas),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        threads, workers, cpus = json.loads(done.stdout)
+        if "openblas" in NUMPY_BLAS:
+            assert (threads, workers) == (1, cpus)
+        else:  # another BLAS keeps its own threads
+            assert workers == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_thread_count_is_the_affinity_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(layers_module, "_set_blas_threads", lambda n: None)
         monkeypatch.setattr(layers_module.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-        assert layers_module._worker_count.__wrapped__() == want
+        assert layers_module._worker_count.__wrapped__() == cpus
 
-    def test_blas_thread_count_is_read_or_unknown(self):
-        count = layers_module._blas_threads()
-        assert count is None or count >= 1
+    def test_without_openblas_a_conv1d_keeps_one_thread(self, monkeypatch):
+        # another BLAS, or no /proc: the probe finds nothing to set
+        def no_proc(*args, **kwargs):
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(layers_module, "open", no_proc, raising=False)
+        assert layers_module._openblas("set_num_threads") is None
+        monkeypatch.setattr(layers_module, "_set_blas_threads", None)
+        monkeypatch.setattr(layers_module.os, "sched_getaffinity",
+                            lambda pid: set(range(4)), raising=False)
+        assert layers_module._worker_count.__wrapped__() == 1
 
 
 class TestMaxPool:

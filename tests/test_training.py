@@ -228,6 +228,15 @@ class TestLabelChecks:
             train(build_model(binary_spec(), seed=0), ids, labels[:-1],
                   TrainConfig(batch_size=4, epochs=1))
 
+    @pytest.mark.parametrize("spec, task, smote", [
+        (binary_spec, binary_task, False), (multiclass_spec, multiclass_task, True),
+    ])
+    def test_zero_rows_are_rejected(self, spec, task, smote):
+        ids, labels = task()
+        with pytest.raises(ValueError, match="no rows to train on"):
+            train(build_model(spec(), seed=0), ids[:0], labels[:0],
+                  TrainConfig(batch_size=4, epochs=1, smote=smote))
+
 
 class TestEvaluationHelpers:
     def test_predict_batched_matches_single_pass(self, rng, monkeypatch):
