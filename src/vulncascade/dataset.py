@@ -4,9 +4,9 @@ The corpus format is JSON lines, one sample per line:
 
     {"code": "...", "vulnerable": 0|1, "cwe": "CWE-121", "id": "optional"}
 
-``cwe`` is required exactly when ``vulnerable`` is 1.  Bad lines, a line
-that is not UTF-8 among them, are collected as diagnostics rather than
-aborting the load, up to a sanity threshold.
+``cwe`` is required exactly when ``vulnerable`` is 1.  Bad lines, not UTF-8
+or escaping a lone surrogate among them, are collected as diagnostics
+rather than aborting the load, up to a sanity threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from .errors import (
 )
 from .normalizer import undecoded_byte
 
-_CWE_RE = re.compile(r"^CWE-\d+$")
+_CWE_RE = re.compile(r"^CWE-[0-9]+$")
+# a code point JSON can escape that no UTF-8 text holds: a lone surrogate
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # each class's share of the training split
 TRAIN_FRACTION = 0.8
@@ -80,10 +82,10 @@ class LabelMap:
             raise SpecCorruptError(f"{path}: {exc}") from exc
         classes = data.get("classes") if isinstance(data, dict) else None
         if (not isinstance(classes, list) or not classes
-                or not all(isinstance(c, str) for c in classes)
+                or not all(isinstance(c, str) and _CWE_RE.match(c) for c in classes)
                 or len(set(classes)) != len(classes)):
-            raise SpecCorruptError(
-                f'{path}: "classes" must be a non-empty list of distinct CWE strings')
+            raise SpecCorruptError(f'{path}: "classes" must be a non-empty list '
+                                   "of distinct CWE-<digits> strings")
         return cls(classes)
 
 
@@ -95,6 +97,10 @@ def parse_corpus_line(line: str) -> CorpusSample:
         raise CorpusFormatError(f"not valid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise CorpusFormatError("record is not a JSON object")
+    for name, value in obj.items():
+        if isinstance(value, str) and (bad := _SURROGATE.search(value)):
+            raise CorpusFormatError(f"{name!r} holds U+{ord(bad[0]):04X} at character "
+                                    f"{bad.start() + 1}, which is not UTF-8")
     if "code" not in obj or not isinstance(obj["code"], str):
         raise CorpusFormatError("missing or non-string 'code' field")
     if "vulnerable" not in obj or obj["vulnerable"] not in (0, 1, True, False):

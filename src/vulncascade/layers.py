@@ -23,8 +23,8 @@ per sample in cache, pool before relu, bit for bit the three layers.
 Import sets OpenBLAS, whose thread count moves bits, to one thread per call
 process-wide.  A Conv1D call of POOL_MIN_WORK multiply-adds or more runs on
 the CPUs the process may use instead, on a pool started at the first such
-call (numpy's matmul and ufuncs release the GIL).  Each thread runs the
-one-thread path's own operations on its share: the same bits at any count.
+call (numpy's matmul and ufuncs release the GIL).  One path runs at every
+count, one thread included, each on its share: the same bits at any count.
 """
 
 from __future__ import annotations
@@ -221,25 +221,17 @@ def _executor(threads: int):
 
 
 def _balance(costs: list[int], n: int) -> list[list[int]]:
-    """The indices of costs in at most n shares of near-equal total: each
-    next-costliest one to the share with the least so far."""
-    shares = [[] for _ in range(min(n, len(costs)))]
-    totals = [0] * len(shares)
-    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
-        w = totals.index(min(totals))
-        shares[w].append(i)
-        totals[w] += costs[i]
-    return shares
+    """The indices of costs in n shares, some maybe empty: costliest first,
+    dealt round-robin.  Costs each listed twice split evenly between two."""
+    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
+    return [order[w::n] for w in range(n)]
 
 
-def _staged(rows: np.ndarray, stage: np.ndarray | None) -> np.ndarray:
+def _staged(rows: np.ndarray, stage: np.ndarray) -> np.ndarray:
     """rows copied into the head of stage, which the calling thread
-    allocated; rows themselves where there is no stage (one thread).
-    numpy multiplies a view whose rows overlap, as im2col rows do, by first
-    copying it into memory of the running thread's malloc arena, which a
-    pool thread would then keep."""
-    if stage is None:
-        return rows
+    allocated.  numpy multiplies a view whose rows overlap, as im2col rows
+    do, by first copying it into memory of the running thread's malloc
+    arena, which a pool thread would then keep."""
     head = stage[:len(rows)]
     np.copyto(head, rows)
     return head
@@ -247,13 +239,14 @@ def _staged(rows: np.ndarray, stage: np.ndarray | None) -> np.ndarray:
 
 def _parallel(task, n: int) -> None:
     """Runs task(0) on the calling thread and task(1) .. task(n - 1) on the
-    pool, and returns, or raises the first exception, once all n are done.
+    process's one pool, of _worker_count() - 1 threads, and returns, or
+    raises the first exception, once all n are done.
 
     Tasks run numpy on arrays the caller allocated and write disjoint parts
     of them.  Each thread that allocates gets its own malloc arena, which
     keeps what it freed, so a task allocates nothing large itself.
     """
-    futures = [_executor(n - 1).submit(task, w) for w in range(1, n)]
+    futures = [_executor(_worker_count() - 1).submit(task, w) for w in range(1, n)]
     try:
         task(0)
     finally:
@@ -286,18 +279,19 @@ class Conv1D(Layer):
     bit: (B,L,C) -> (B,(L-k+1)//2,F).  Each sample's output lands in one
     reused (L', F) buffer that _relu_pool_forward pools and rectifies in
     cache.  Backward rebuilds each sample's convolution gradient in such a
-    buffer and adds its rows to the bias gradient after a row holding the
-    sum so far, in the order the full array's sum(axis=(0, 1)) takes.  With
-    one filter that sum is pairwise, so Model fuses only two or more.
+    buffer.  Fused or not, it adds each sample's gradient rows to the bias
+    gradient after a row holding the sum so far.
 
-    On more than one thread (_workers), a forward splits the samples.  A
-    backward takes one sample per thread at a time: the threads first
-    split the filters, for the gradient rebuild, the bias row and the tail
-    sums, all elementwise or sums down each column; then the samples' dW
-    terms and dx products, each one whole GEMM on one thread.  dW adds the
-    terms in sample order, filter blocks split between the threads.  No
-    product is split, since OpenBLAS can round a part of a product apart
-    from the same rows of the whole.
+    One path runs at any thread count (_workers), one included, on im2col
+    rows and dx products staged in the calling thread's buffers (_staged).
+    A forward deals the samples to the threads (_balance).  A backward takes
+    one sample per thread at a time: the threads first split the filters,
+    for the gradient rebuild, the bias row and the tail sums, all
+    elementwise or sums down each column; then deal the samples' dW terms
+    and dx products, each one whole GEMM on one thread.  dW adds the terms
+    in sample order, filter blocks split between the threads.  No product
+    is split, since OpenBLAS can round a part of a product apart from the
+    same rows of the whole.
     """
 
     PARAMS = ("weights", "bias")
@@ -349,8 +343,9 @@ class Conv1D(Layer):
         rows = ([l_out] * batch if tails is None
                 else np.minimum(np.maximum(tails + 1, MIN_GEMM_ROWS), l_out).tolist())
         workers = self._workers(rows, w_cols)
+        shares = _balance(rows, workers)
         # per thread, one sample's im2col rows (see _staged)
-        stage = np.empty((workers, *cols.shape[1:])) if workers > 1 else [None]
+        stage = np.empty((workers, *cols.shape[1:]))
         masks = convs = None
         if self.relu_pool:
             if l_out < 2:
@@ -363,8 +358,8 @@ class Conv1D(Layer):
         else:
             out = np.empty((batch, l_out, self.filters))
 
-        def samples(w):  # every workers-th sample from w on
-            for b in range(w, batch, workers):
+        def samples(w):
+            for b in shares[w]:
                 m = rows[b]
                 y = out[b] if convs is None else convs[w]
                 np.matmul(_staged(cols[b, :m], stage[w]), w_cols.T, out=y[:m])
@@ -387,21 +382,18 @@ class Conv1D(Layer):
         cols, w_cols = self._im2col(x)
         batch, l_out = cols.shape[:2]
         workers = self._workers(rows, w_cols)
-        if masks is None:
-            self.grad["bias"][...] = upstream.sum(axis=(0, 1))
         # filter blocks of whole 16s (a one-column slice would sum pairwise),
         # one per thread, the last taking the rest
         blocks = max(1, min(workers, f // 16))
         edges = [16 * (f // 16 * i // blocks) for i in range(blocks)] + [f]
         # the backward takes one sample per thread at a time (a chunk):
-        # grads holds, per sample, row 0: the bias gradient before it
-        # (fused); rows 1..: its convolution gradient (an odd L' leaves the
-        # last zero)
+        # grads holds, per sample, row 0: the bias gradient before it; rows
+        # 1..: its convolution gradient (an odd fused L' leaves the last zero)
         grads = np.zeros((workers, l_out + 1, f))
-        bias = np.zeros(f)  # the bias gradient so far (fused)
+        bias = np.zeros(f)  # the bias gradient so far
         terms = np.empty((workers, f, k * c))  # each sample's dW term
         # per thread, one sample's im2col rows or dx columns (see _staged)
-        stage = np.empty((workers, l_out, k * c)) if workers > 1 else [None]
+        stage = np.empty((workers, l_out, k * c))
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
         added = range(0)
@@ -419,8 +411,8 @@ class Conv1D(Layer):
                     d[...] = upstream[b, :, lo:hi]
                 else:
                     _relu_pool_backward(upstream[b, :, lo:hi], masks[:, b, :, lo:hi], d)
-                    g[0] = bias[lo:hi]
-                    np.add.reduce(g if b else d, axis=0, out=bias[lo:hi])
+                g[0] = bias[lo:hi]
+                np.add.reduce(g if b else d, axis=0, out=bias[lo:hi])
                 m = rows[b]
                 if m < l_out:
                     d[m - 1] += d[m:].sum(axis=0)
@@ -435,8 +427,7 @@ class Conv1D(Layer):
                 if item < len(part):
                     np.matmul(up.T, _staged(cols[b, :m], stage[w]), out=terms[i])
                     continue
-                dc = np.matmul(up, w_cols, out=None if stage[w] is None
-                               else stage[w][:m]).reshape(m, k, c)
+                dc = np.matmul(up, w_cols, out=stage[w][:m]).reshape(m, k, c)
                 for j in range(k):
                     dx[b, j:j + m] += dc[:, j]
 
@@ -444,12 +435,11 @@ class Conv1D(Layer):
             part = range(start, min(start + workers, batch))
             _parallel(filter_block, blocks)
             shares = _balance([rows[b] for b in part] * 2, workers)
-            _parallel(products, len(shares))
+            _parallel(products, workers)
             added = range(len(part))
         part = range(0)
         _parallel(filter_block, blocks)  # the last chunk's terms
-        if masks is not None:
-            self.grad["bias"][...] = bias
+        self.grad["bias"][...] = bias
         self.grad["weights"][...] = dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
 

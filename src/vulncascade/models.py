@@ -306,11 +306,11 @@ class Model:
 
 def _fuse_blocks(layers: list[Layer]) -> list[Layer]:
     """The layers with each Conv1D -> relu -> MaxPool1D(2, 2) run as its
-    Conv1D alone, relu_pool set: the returned list drops the block's relu
-    and pool.  A one-filter convolution stays unfused (see Conv1D)."""
+    Conv1D alone, relu_pool set, whatever its filter count: the returned
+    list drops the block's relu and pool."""
     fused = set()
     for conv, act, pool in zip(layers, layers[1:], layers[2:]):
-        if (isinstance(conv, Conv1D) and conv.filters > 1
+        if (isinstance(conv, Conv1D)
                 and isinstance(act, Activation) and act.kind == "relu"
                 and isinstance(pool, MaxPool1D) and pool.window == pool.stride == 2):
             conv.relu_pool = True

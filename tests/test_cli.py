@@ -340,6 +340,19 @@ class TestPreprocess:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert "warning" in capsys.readouterr().err
 
+    def test_lone_surrogate_escape_is_one_malformed_line(self, tmp_path, capsys):
+        corpus = tmp_path / "surrogate.jsonl"
+        write_corpus(corpus)
+        good = len(corpus.read_text(encoding="utf-8").splitlines())
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write('{"code": "int x = 1; \\ud800 y;", "vulnerable": 0}\n')
+        out = tmp_path / "out"
+        assert main(["preprocess", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {corpus}:{good + 1}: 'code' holds U+D800 at character 12, "
+            "which is not UTF-8\n")
+        assert Vocabulary.load(out / "vocab.txt").token_to_id
+
     def test_missing_corpus_is_usage_error(self, tmp_path, capsys):
         assert main(["preprocess", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--out-dir", str(tmp_path / "out")]) == 2
@@ -547,6 +560,8 @@ class TestTrain:
                                       '{"classes": [1, 2, 3, 4, 5]}',
                                       '{"classes": []}',
                                       '{"classes": ["CWE-1", "CWE-1"]}',
+                                      '{"classes": ["CWE-\\u0661\\u0662\\u0661"]}',
+                                      '{"classes": ["\\ud800"]}',
                                       pytest.param("[" * 100_000, id="deep-nesting")])
     def test_malformed_label_map_is_refused_before_training(
             self, workspace, tmp_path, capsys, text):

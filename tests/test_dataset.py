@@ -52,6 +52,7 @@ class TestParseLine:
         line(code="x", vulnerable=1),                    # cwe required
         line(code="x", vulnerable=1, cwe="xss"),         # malformed cwe
         line(code="x", vulnerable=1, cwe="CWE-"),        # malformed cwe
+        line(code="x", vulnerable=1, cwe="CWE-\u0661\u0662\u0661"),  # Arabic digits
         line(code="x", vulnerable=0, cwe="CWE-79"),      # cwe on clean sample
         "not json at all",
         "[1, 2]",                                        # not an object
@@ -59,6 +60,16 @@ class TestParseLine:
     def test_rejections(self, bad):
         with pytest.raises(CorpusFormatError):
             parse_corpus_line(bad)
+
+    @pytest.mark.parametrize("field", ["code", "cwe", "id"])
+    def test_string_that_is_not_utf8_is_refused(self, field):
+        # JSON's escape of a lone surrogate decodes to a str that no UTF-8
+        # file can hold
+        record = {"code": "int x;", "vulnerable": 1, "cwe": "CWE-121", "id": "a"}
+        record[field] = "ab\ud800"
+        with pytest.raises(CorpusFormatError,
+                           match=f"^'{field}' holds U\\+D800 at character 3, which is not UTF-8$"):
+            parse_corpus_line(json.dumps(record))
 
 
 class TestLoadCorpus:

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -298,7 +299,7 @@ class TestReluPool:
     def test_matches_the_three_layers(self, data):
         l_out = data.draw(st.one_of(st.sampled_from([2, 3, 17, 241]),
                                     st.integers(2, 40)))
-        c, f, k = (data.draw(st.integers(1, 5)), data.draw(st.integers(2, 9)),
+        c, f, k = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9)),
                    data.draw(st.integers(1, 4)))
         batch = data.draw(st.integers(1, 4))
         length = l_out + k - 1
@@ -372,6 +373,22 @@ class TestReluPool:
         fused, _ = relu_pool_pair(2, 3, 3, rng)
         with pytest.raises(InputTooShortError):
             fused.forward(rng.standard_normal((1, 3, 2)))
+
+
+@pytest.mark.parametrize("costs", [[], [5], [3, 3], [7, 1, 4, 4, 9], list(range(20))])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_balance_deals_every_index_once(costs, n):
+    shares = layers_module._balance(costs, n)
+    assert len(shares) <= n
+    assert sorted(i for share in shares for i in share) == list(range(len(costs)))
+
+
+@pytest.mark.parametrize("costs", [[5], [241, 16, 100, 16], [30, 7, 7, 2, 30, 1]])
+def test_balance_splits_costs_listed_twice_evenly_between_two(costs):
+    # the backward lists each sample's rows twice: its dW term and its dx
+    shares = layers_module._balance(costs * 2, 2)
+    totals = [sum((costs * 2)[i] for i in share) for share in shares]
+    assert totals[0] == totals[1]
 
 
 # numpy's BLAS, and what a fresh process reports after importing the layers:
@@ -501,6 +518,32 @@ class TestConv1DThreads:
         out = conv.forward(np.ones((4, 20, 3)), training=True)
         with pytest.raises(ValueError, match="pool thread"):
             conv.backward(np.ones_like(out))
+
+    def test_every_call_shares_one_pool(self, threads, monkeypatch):
+        # calls of 5, 2 and 3 samples use 4, 2 and 3 threads: the pool's
+        # threads serve them all, whatever a call's count
+        threads(4)
+        fresh = functools.cache(layers_module._executor.__wrapped__)
+        sizes = set()
+
+        def executor(n):
+            sizes.add(n)
+            return fresh(n)
+
+        monkeypatch.setattr(layers_module, "_executor", executor)
+        before = set(threading.enumerate())
+        rng = np.random.default_rng(0)
+        conv = Conv1D(8, 64, 3, rng)
+        try:
+            for batch in (5, 2, 3):
+                out = conv.forward(rng.standard_normal((batch, 12, 8)), training=True)
+                conv.backward(np.ones_like(out))
+            started = [t for t in threading.enumerate() if t not in before
+                       and t.name.startswith("vulncascade-conv")]
+            assert len(started) <= 3
+        finally:
+            for n in sizes:
+                fresh(n).shutdown()
 
     def test_work_below_the_bar_stays_on_the_calling_thread(self, monkeypatch):
         # scan's per-file stage-1 batch: 10 short rows through conv2

@@ -916,16 +916,22 @@ class TestFusedBlocks:
     @pytest.mark.parametrize("spec", [
         sliding_pool_spec(),
         ModelSpec(stage=1, vocab_size=5, embedding_dim=3, input_length=8,
-                  layers=(ConvSpec(1, 3), ActivationSpec("relu"), PoolSpec(2, 2),
-                          FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))),
-        ModelSpec(stage=1, vocab_size=5, embedding_dim=3, input_length=8,
                   layers=(ConvSpec(2, 3), ActivationSpec("sigmoid"), PoolSpec(2, 2),
                           FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))),
-    ], ids=["window-3-pool", "one-filter", "sigmoid"])
+    ], ids=["window-3-pool", "sigmoid"])
     def test_other_blocks_stay_unfused(self, spec):
         model = build_model(spec)
         assert model.stack == model.layers
         assert not any(getattr(layer, "relu_pool", False) for layer in model.layers)
+
+    def test_a_one_filter_block_fuses(self):
+        # its bias gradient is the same running sum fused or not
+        model = build_model(ModelSpec(
+            stage=1, vocab_size=5, embedding_dim=3, input_length=8,
+            layers=(ConvSpec(1, 3), ActivationSpec("relu"), PoolSpec(2, 2),
+                    FlattenSpec(), DenseSpec(1), ActivationSpec("sigmoid"))))
+        assert model.layers[1].relu_pool
+        assert model.stack == [model.layers[0], model.layers[1], *model.layers[4:]]
 
     def test_fold_ahead_of_relu_pool(self):
         # a wide embedding folds into the first convolution, which stays
