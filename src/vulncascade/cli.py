@@ -210,10 +210,7 @@ def cmd_train(args) -> int:
         label_map = LabelMap.load(label_path)
         _check_classes(label_path, label_map, train_path, arch)
         spec = stage2_spec(vocab.size, len(label_map))
-    if arch.max_len != spec.input_length:
-        raise CliError(
-            f"archive length {arch.max_len} does not match the stage "
-            f"{args.stage} input length {spec.input_length}")
+    _check_length(train_path, arch, spec)
 
     model = build_model(spec, seed=args.seed)
     print(f"stage {args.stage}: {model.param_count()} parameters, "
@@ -245,6 +242,12 @@ def _check_hash(ours: str, theirs: str) -> None:
         raise VocabHashMismatchError(ours, theirs)
 
 
+def _check_length(archive_path: str, arch: EncodedArchive, spec) -> None:
+    if arch.max_len != spec.input_length:
+        raise CliError(f"{archive_path}: rows of {arch.max_len} ids, the "
+                       f"stage-{spec.stage} model reads {spec.input_length}")
+
+
 def _check_classes(label_source: str, label_map: LabelMap,
                    archive_path: str, arch: EncodedArchive) -> None:
     if len(label_map) != arch.num_classes:
@@ -268,6 +271,7 @@ def cmd_evaluate(args) -> int:
     if not arch1.count:
         raise CliError(f"{test1_path}: no rows to evaluate on")
     _check_hash(header1.vocab_hash, arch1.vocab_hash)
+    _check_length(test1_path, arch1, stage1.spec)
 
     if args.stage2:
         stage2, header2 = _load_stage(args.stage2, 2)
@@ -277,6 +281,7 @@ def cmd_evaluate(args) -> int:
         arch2 = load_archive(test2_path)
         _check_hash(header2.vocab_hash, arch2.vocab_hash)
         _check_classes(f"--stage2 {args.stage2}", label_map, test2_path, arch2)
+        _check_length(test2_path, arch2, stage2.spec)
         vuln_rows = np.flatnonzero(arch1.labels == 1)
         if vuln_rows.shape[0] != arch2.count:
             raise CliError(

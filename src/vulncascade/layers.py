@@ -12,10 +12,10 @@ that only infers never holds them.  Forward and backward are pure given
 (input, parameters); only the optimizer mutates parameters.
 
 EmbeddingConv1D runs an Embedding that feeds a Conv1D as one lookup per tap
-of the (V, F) product of the table with that tap's weights; it never builds
-the (B, L, D) embedding output.  It pays where V*D < B*L'*(D - GATHER_COST),
-GATHER_COST = 30 by measurement (the numbers are at its definition), never
-at D <= GATHER_COST: stage 2 (D 300) has a fold, stage 1 (D 13) none.
+of the (U, F) product of the batch's U distinct table rows with that tap's
+weights; it never builds the (B, L, D) embedding output.  It pays at
+D > GATHER_COST = 30, by measurement (the numbers are at its definition):
+stage 2 (D 300) has a fold, stage 1 (D 13) none.
 
 A Conv1D with relu_pool set runs a Conv1D -> relu -> 2x2 MaxPool1D block
 per sample in cache, pool before relu, bit for bit the three layers.
@@ -445,88 +445,73 @@ class Conv1D(Layer):
 
 
 # Cost, in GEMM multiply-adds, of gathering and adding one element of a
-# folded tap (see EmbeddingConv1D.wins).  Measured crossovers, forward +
-# backward in ms, pair -> fold, best of 5, one BLAS thread, numpy 2.4.6, a
-# shared 2-vCPU x86_64 box (L 400, F 64, k 3 unless named):
+# folded tap, in place of the D multiply-adds of a convolution: _assemble
+# folds only where D > GATHER_COST.  Measured crossovers, forward + backward
+# in ms, pair -> fold, best of 5, one BLAS thread, numpy 2.4.6, a shared
+# 2-vCPU x86_64 box (L 400, F 64, k 3 unless named):
 #   D at B 32, V 69:   D 16: 11.2 -> 13.0   D 32: 16.3 -> 13.1   (rule: D > 30)
-#   V at B 5, D 300:   V 1500: 28.5 -> 18.1   V 2500: 23.4 -> 33.5  (rule: 1791)
-#   V at B 32, D 300:  V 10000: 199 -> 158    V 15000: 237 -> 282  (rule: 11462)
-#   V at B 1, D 300:   V 200: 5.7 -> 2.8      V 400: 5.4 -> 5.2   (rule: 358)
 #   stage 1, B 64, V 69, D 13, F 256, k 7: 192 -> 543  (rule: never)
 GATHER_COST = 30
 
 
 class EmbeddingConv1D:
-    """An Embedding feeding a Conv1D, run as k table lookups where that wins.
+    """An Embedding feeding a Conv1D, run as k table lookups.
 
-    It stands first in the stack a Model runs, in place of the pair, and
-    picks its path per call: a forward runs folded where wins() says so and
-    the two layers in turn otherwise; its backward takes the same path.  Its
-    convolution is never fused (Conv1D): a relu and pool after it are layers.
-    Folded, with ids (B, L), the (V, D) table and (F, D, k) weights, each
-    tap j has the (V, F) product P_j = table @ W[:, :, j].T, and
-        out[b, t] = bias + sum_j P_j[ids[b, t + j]].
-    Backward sums the upstream by the id at offset j into dP_j (the
-    Embedding's bincount), then dW[:, :, j] = dP_j.T @ table and
-    dtable = sum_j dP_j @ W[:, :, j].  A training forward caches the ids
-    alone: neither the (B, L, D) embedding output nor the convolution's dx
-    is ever built.  Gradients go to the two layers' own buffers, so the
-    model's tensors, their names and the file format are those of the pair.
+    It stands first in the stack a Model runs, in place of the pair; its
+    convolution is never fused (Conv1D).  With ids (B, L), the rows table[u]
+    of the U distinct ids u the batch holds, r the ids remapped onto u, and
+    (F, D, k) weights, tap j has the (U, F) product
+    P_j = table[u] @ W[:, :, j].T, and out[b, t] = bias + sum_j P_j[r[b, t + j]].
+    Backward sums the upstream by r at offset j into dP_j (the Embedding's
+    bincount), then dW[:, :, j] = dP_j.T @ table[u] and dtable[u] =
+    sum_j dP_j @ W[:, :, j], zero on the other rows.  Each product is one
+    GEMM over every tap, so the cost follows the batch's ids, not V.  A
+    training forward caches the ids alone: the (B, L, D) embedding output
+    and the convolution's dx are never built.  Gradients go to the two
+    layers' own buffers, so the model's tensors, names and file are the pair's.
     """
 
     def __init__(self, embedding: Embedding, conv: Conv1D):
         self.embedding = embedding
         self.conv = conv
-        self.tails = None
         self._ids = None
-        self._folded = False
-
-    def wins(self, batch: int, length: int) -> bool:
-        """Whether the fold is cheaper than the pair at this batch shape.
-
-        Both forwards are dominated by k*F times: V*D multiply-adds for the
-        tap products plus GATHER_COST per gathered element (B*L') for the
-        fold, B*L'*D multiply-adds for the convolution.  So the fold wins
-        when V*D < B*L'*(D - GATHER_COST): never at D <= GATHER_COST, and
-        never when V >= B*L'.
-        """
-        rows = batch * (length - self.conv.kernel_size + 1)
-        d = self.embedding.dim
-        return self.embedding.vocab_size * d < rows * (d - GATHER_COST)
 
     def forward(self, ids, training: bool = False):
-        """tails, when set, is read and cleared as Conv1D's is: the pair
-        path hands it to the convolution, the folded path drops it."""
-        tails, self.tails = self.tails, None
-        self._folded = self.wins(*np.shape(ids))
-        if not self._folded:
-            x = self.embedding.forward(ids, training)
-            self.conv.tails = tails
-            return self.conv.forward(x, training)
         ids = self.embedding.check_ids(ids)
-        k = self.conv.kernel_size
+        k, f = self.conv.kernel_size, self.conv.filters
+        if ids.ndim != 2:
+            raise ShapeMismatchError(f"embedding-conv1d expects (B, L) ids, got {ids.shape}")
+        if ids.shape[1] < k:
+            raise InputTooShortError(f"sequence length {ids.shape[1]} < kernel size {k}")
         l_out = ids.shape[1] - k + 1
-        # (k, V, F): one GEMM per tap
-        taps = self.embedding.table @ self.conv.weights.transpose(2, 1, 0)
-        out = taps[0][ids[:, :l_out]]
+        # the distinct ids, u, and the ids remapped onto them, r
+        present = np.bincount(ids.ravel(), minlength=self.embedding.vocab_size) > 0
+        uniq = np.flatnonzero(present)
+        remapped = (np.cumsum(present) - 1)[ids]
+        # (U, k, F): every tap's product in one GEMM
+        w = self.conv.weights.transpose(1, 2, 0).reshape(-1, k * f)
+        taps = (self.embedding.table[uniq] @ w).reshape(-1, k, f)
+        out = taps[remapped[:, :l_out], 0]
         for j in range(1, k):
-            out += taps[j][ids[:, j:j + l_out]]
+            out += taps[remapped[:, j:j + l_out], j]
         out += self.conv.bias
-        self._ids = ids if training else None
+        self._ids = (uniq, remapped) if training else None
         return out
 
     def backward(self, upstream):
-        if not self._folded:
-            return self.embedding.backward(self.conv.backward(upstream))
-        ids, self._ids = self._ids, None
+        (uniq, remapped), self._ids = self._ids, None
         emb, conv = self.embedding, self.conv
-        k, l_out = conv.kernel_size, ids.shape[1] - conv.kernel_size + 1
+        k, f, d = conv.kernel_size, conv.filters, emb.dim
+        l_out = remapped.shape[1] - k + 1
         conv.grad["bias"][...] = upstream.sum(axis=(0, 1))
-        # (k, V, F): the upstream summed by the id at each tap's offset
-        d_taps = np.stack([sum_rows_by_id(ids[:, j:j + l_out], upstream,
-                                          emb.vocab_size) for j in range(k)])
-        conv.grad["weights"][...] = (d_taps.transpose(0, 2, 1) @ emb.table).transpose(1, 2, 0)
-        emb.grad["table"][...] = (d_taps @ conv.weights.transpose(2, 0, 1)).sum(axis=0)
+        # (U, k * F): the upstream summed by the remapped id at each tap's offset
+        d_taps = np.stack([sum_rows_by_id(remapped[:, j:j + l_out], upstream, len(uniq))
+                           for j in range(k)], axis=1).reshape(len(uniq), k * f)
+        rows = emb.table[uniq]
+        conv.grad["weights"][...] = (d_taps.T @ rows).reshape(k, f, d).transpose(1, 2, 0)
+        dtable = emb.grad["table"]
+        dtable.fill(0.0)
+        dtable[uniq] = d_taps @ conv.weights.transpose(2, 0, 1).reshape(k * f, d)
         return None
 
 

@@ -15,9 +15,9 @@ LSTM reduced to its last step (10 cells), then dense 100 -> C with softmax.
 
 Where an embedding wider than layers.GATHER_COST (stage 2's) feeds a
 convolution directly, _assemble pairs the two into a layers.EmbeddingConv1D,
-the first entry of the stack Model runs, which picks its path per call by
-its rule.  The two layers keep their own tensors and gradients, so the
-model's tensors, names and file bytes are those of the declared layers.
+the first entry of the stack Model runs, one path over the batch's table
+rows.  The two layers keep their own tensors and gradients, so the model's
+tensors, names and file bytes are those of the declared layers.
 
 Each unfolded Conv1D -> relu -> MaxPool1D(2, 2) block (stage 1's two; stage
 2 has a batchnorm between relu and pool) runs as its Conv1D with relu_pool
@@ -31,16 +31,17 @@ map positions affinely (Dumoulin and Visin 2016), so _assemble reduces the
 prefix to integers: each Conv1D's input stride s, the product of the pool
 strides before it, at which a tail starting at id t starts at ceil(t / s),
 and the prefix's total stride S and receptive field R.  Each Conv1D there
-multiplies, per row, only the rows up to its first tail output and copies
-that one into the rest, in training and eval forwards and in backward.  An
-eval forward also runs the prefix on the first ceil(t / S) * S + R id
-columns only, t the batch's last tail start, and repeats its last output to
-the full length.  Results equal the full-length ones up to float64
-summation order.
+but the fold's multiplies, per row, only the rows up to its first tail
+output and copies that one into the rest, in training and eval forwards and
+in backward.  An eval forward also runs the prefix on the first
+ceil(t / S) * S + R id columns only, t the batch's last tail start, and
+repeats its last output to the full length.  Results equal the full-length
+ones up to float64 summation order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -220,9 +221,9 @@ class Model:
     prefix is (index, length, stride, field): the first Flatten or LSTM is
     layers[index] and reads a sequence of that length, and the layers before
     it have that total stride and receptive field.  in_strides maps each
-    Conv1D or fold among them to its input stride s; each forward sets its
-    tails to the rows' tail starts in ids over s, rounded up, and an eval
-    forward runs the prefix on the live columns only.
+    Conv1D among them to its input stride s; each forward sets its tails to
+    the rows' tail starts in ids over s, rounded up (the fold reads none),
+    and an eval forward runs the prefix on the live columns only.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
@@ -332,12 +333,21 @@ _SIZES = {ConvSpec: ("filters", "kernel_size"), PoolSpec: ("window", "stride"),
 
 
 def _check_sizes(spec: ModelSpec) -> None:
-    """Every size in the spec must be a positive integer."""
+    """Every size in the spec must be a positive integer, a batchnorm's eps a
+    finite number > 0 and its momentum a number in [0, 1]."""
     sizes = [(name, getattr(spec, name))
              for name in ("vocab_size", "embedding_dim", "input_length")]
     for i, ls in enumerate(spec.layers):
-        sizes += [(f"layer {i} ({_TYPE_NAMES[type(ls)]}) {name}", getattr(ls, name))
+        where = f"layer {i} ({_TYPE_NAMES[type(ls)]})"
+        sizes += [(f"{where} {name}", getattr(ls, name))
                   for name in _SIZES.get(type(ls), ())]
+        if isinstance(ls, BatchNormSpec):  # a NaN eps makes every output NaN
+            for name, ok, what in (("eps", lambda v: 0 < v < math.inf, "finite and > 0"),
+                                   ("momentum", lambda v: 0 <= v <= 1, "in [0, 1]")):
+                value = getattr(ls, name)
+                if type(value) not in (int, float) or not ok(value):
+                    raise SpecCorruptError(f"model spec is malformed: {where} {name} "
+                                           f"{value!r} is not a number {what}")
     for name, value in sizes:
         if type(value) is not int or value < 1:
             raise SpecCorruptError(
@@ -357,9 +367,9 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
     flat: int | None = None
     prev_name = "embedding"
     # the layers so far as one affine map of positions: total stride and
-    # receptive field; and each Conv1D's (or the fold's) input stride
+    # receptive field; and each Conv1D's input stride
     stride = field = 1
-    in_strides: dict[Layer | EmbeddingConv1D, int] = {}
+    in_strides: dict[Layer, int] = {}
 
     def fail(i, layer_spec, why):
         raise IncompatibleSpecError(
@@ -374,10 +384,9 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if length < ls.kernel_size:
                 fail(i, ls, f"sequence length {length} < kernel size {ls.kernel_size}")
             layers.append(Conv1D(channels, ls.filters, ls.kernel_size, rng))
-            reader = layers[-1]
-            if i == 0 and spec.embedding_dim > GATHER_COST:  # see EmbeddingConv1D.wins
-                fold = reader = EmbeddingConv1D(layers[0], layers[1])
-            in_strides[reader] = stride
+            in_strides[layers[-1]] = stride
+            if i == 0 and spec.embedding_dim > GATHER_COST:  # see layers.GATHER_COST
+                fold = EmbeddingConv1D(layers[0], layers[1])
             field += (ls.kernel_size - 1) * stride
             seq = (length - ls.kernel_size + 1, ls.filters)
         elif isinstance(ls, PoolSpec):

@@ -471,7 +471,10 @@ class TestTrain:
         shutil.copy(data / "stage2_train.vcen", data / "stage1_train.vcen")
         assert main(["train", "--stage", "1", "--data", str(data),
                      "--out", str(tmp_path / "m.vcmd"), "--epochs", "1"]) == 2
-        assert "length" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{data / 'stage1_train.vcen'}: rows of 400 ids, the stage-1 "
+                "model reads 500") in captured.err
 
     def test_missing_data_dir(self, tmp_path, capsys):
         assert main(["train", "--stage", "1", "--data", str(tmp_path / "nope"),
@@ -816,6 +819,29 @@ class TestEvaluate:
         assert report["stage2"] is None
         assert report["cascade"]["samples"] == load_archive(
             str(data / "stage1_test.vcen")).count
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_wrong_length_archive_is_refused_with_its_path(self, workspace, tmp_path,
+                                                           capsys, stage):
+        # stage 1's test archive of stage-2 rows, or stage 2's padded to 500
+        # ids: refused before any forward, naming the archive
+        data = tmp_path / "crossed"
+        shutil.copytree(workspace["data"], data)
+        if stage == 1:
+            shutil.copy(data / "stage2_test.vcen", data / "stage1_test.vcen")
+        else:
+            arch = load_archive(str(data / "stage2_test.vcen"))
+            arch.ids = np.pad(arch.ids, ((0, 0), (0, 100)))
+            arch.max_len = 500
+            save_archive(arch, str(data / "stage2_test.vcen"))
+        code = main(["evaluate", "--stage1", str(workspace["s1"]),
+                     "--stage2", str(workspace["s2"]), "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        width, reads = (400, 500) if stage == 1 else (500, 400)
+        assert (f"{data / f'stage{stage}_test.vcen'}: rows of {width} ids, the "
+                f"stage-{stage} model reads {reads}") in captured.err
 
     def test_missing_model_is_usage_error(self, workspace, tmp_path, capsys):
         assert main(["evaluate", "--stage1", str(tmp_path / "ghost.vcmd"),

@@ -888,7 +888,6 @@ class TestEmbeddingConv1D:
         emb, conv, fold = folded_pair(5, 64, 3, 3)
         rng = np.random.default_rng(1)
         ids = rng.integers(0, 5, size=(2, 8))
-        assert fold.wins(*ids.shape)
         emb.table *= 20.0
         w = rng.standard_normal((2, 6, 3))
 
@@ -900,15 +899,14 @@ class TestEmbeddingConv1D:
         params = [emb.table, conv.weights, conv.bias]
         assert gradient_check(loss_fn, params, pair_grads(emb, conv), rng=rng) < 1e-4
 
-    # stage 2's first pair in a training step of criterion 6 (V 108) and in
-    # the stage-2 rows of one scanned file (V 33)
-    @pytest.mark.parametrize("batch, vocab", [(32, 108), (5, 33)])
-    def test_matches_the_pair_at_production_shapes(self, batch, vocab):
+    @staticmethod
+    def assert_matches_the_pair(batch, vocab, length):
+        """A stage-2 training step: output and gradients within 1e-12 of the
+        pair's, relative to the largest."""
         emb, conv, fold = folded_pair(vocab, 300, 64, 3, seed=batch)
         rng = np.random.default_rng(vocab)
-        ids = rng.integers(0, vocab, size=(batch, 400))
-        upstream = rng.standard_normal((batch, 398, 64))
-        assert fold.wins(*ids.shape)
+        ids = rng.integers(0, vocab, size=(batch, length))
+        upstream = rng.standard_normal((batch, length - 2, 64))
         want = conv.forward(emb.forward(ids, training=True), training=True)
         emb.backward(conv.backward(upstream))
         want_grads = [g.copy() for g in pair_grads(emb, conv)]
@@ -918,14 +916,47 @@ class TestEmbeddingConv1D:
         for got_grad, want_grad in zip(pair_grads(emb, conv), want_grads):
             assert relative_error(got_grad, want_grad) <= 1e-12
 
-    def test_rule(self):
-        # a narrow embedding never folds; a wide one folds while the tap
-        # products (V rows) cost less than the windows they replace (B * L')
-        _, _, narrow = folded_pair(5, 13, 4, 3)
-        assert not narrow.wins(1000, 400)
-        _, _, wide = folded_pair(200, 300, 4, 3)
-        assert wide.wins(1, 400)
-        assert not wide.wins(1, 202)
+    # stage 2's first pair in a training step of criterion 6 (V 108) and in
+    # the stage-2 rows of one scanned file (V 33)
+    @pytest.mark.parametrize("batch, vocab", [(32, 108), (5, 33)])
+    def test_matches_the_pair_at_production_shapes(self, batch, vocab):
+        self.assert_matches_the_pair(batch, vocab, 400)
+
+    # vocabularies larger than the batch's windows: one row of 398, and a
+    # scanned file's 5 rows, short ones (46 ids) and full ones
+    @pytest.mark.parametrize("batch, vocab, length",
+                             [(1, 400, 400), (5, 2000, 46), (5, 5000, 400)])
+    def test_matches_the_pair_at_large_vocabularies(self, batch, vocab, length):
+        self.assert_matches_the_pair(batch, vocab, length)
+
+    def test_table_gradient_is_zero_on_absent_ids(self):
+        emb, conv, fold = folded_pair(50, 40, 4, 3)
+        rng = np.random.default_rng(2)
+        for ids in (np.arange(50).reshape(2, 25),  # every row: no zero left
+                    rng.choice([3, 7, 8, 41], size=(3, 20))):
+            fold.forward(ids, training=True)
+            fold.backward(rng.standard_normal((ids.shape[0], ids.shape[1] - 2, 4)))
+        absent = np.setdiff1d(np.arange(50), [3, 7, 8, 41])
+        assert not emb.grad["table"][absent].any()
+        assert emb.grad["table"][[3, 7, 8, 41]].all()
+
+    def test_zero_rows(self):
+        _, _, fold = folded_pair(5, 64, 3, 3)
+        out = fold.forward(np.zeros((0, 10), dtype=np.int64))
+        assert out.shape == (0, 8, 3)
+
+    @pytest.mark.parametrize("ids, error", [
+        (np.zeros(10, dtype=np.int64), ShapeMismatchError),
+        (np.zeros((2, 3, 10), dtype=np.int64), ShapeMismatchError),
+        (np.zeros((2, 2), dtype=np.int64), InputTooShortError),
+        (np.zeros((2, 0), dtype=np.int64), InputTooShortError),
+    ], ids=["1d", "3d", "shorter-than-kernel", "no-columns"])
+    def test_refusals_are_the_pairs(self, ids, error):
+        emb, conv, fold = folded_pair(5, 64, 3, 3)
+        with pytest.raises(error):
+            conv.forward(emb.forward(ids))
+        with pytest.raises(error):
+            fold.forward(ids)
 
 
 class TestDense:

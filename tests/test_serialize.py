@@ -224,6 +224,31 @@ class TestDamage:
         with pytest.raises(SpecCorruptError, match="spec"):
             load_model(rewrite(path, reseal(out[:-32])))
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", float("nan")), ("eps", float("inf")), ("eps", 0.0), ("eps", -1e-5),
+        ("eps", True), ("eps", "1e-5"), ("eps", None),
+        ("momentum", "x"), ("momentum", 7.0), ("momentum", -0.1),
+        ("momentum", float("nan")), ("momentum", False),
+    ])
+    def test_bad_batchnorm_field(self, saved, field, value):
+        # a NaN eps would give NaN class distributions, and so class 0 for
+        # every positive unit, with no error
+        path, _, _ = saved
+
+        def edit(header):
+            for entry in header["spec"]["layers"]:
+                if entry["type"] == "batchnorm":
+                    entry[field] = value
+
+        out = edit_header(path.read_bytes(), edit)
+        match = rf"spec is malformed: layer 2 \(batchnorm\) {field} "
+        with pytest.raises(SpecCorruptError, match=match):
+            load_model(rewrite(path, reseal(out[:-32])))
+        layers = list(small_spec().layers)
+        layers[2] = dataclasses.replace(layers[2], **{field: value})
+        with pytest.raises(SpecCorruptError, match=match):
+            build_model(dataclasses.replace(small_spec(), layers=tuple(layers)))
+
     def test_header_edit_without_reseal_is_detected(self, saved):
         path, _, _ = saved
         out = edit_header(path.read_bytes(),
