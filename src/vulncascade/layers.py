@@ -285,13 +285,12 @@ class Conv1D(Layer):
     One path runs at any thread count (_workers), one included, on im2col
     rows and dx products staged in the calling thread's buffers (_staged).
     A forward deals the samples to the threads (_balance).  A backward takes
-    one sample per thread at a time: the threads first split the filters,
-    for the gradient rebuild, the bias row and the tail sums, all
-    elementwise or sums down each column; then deal the samples' dW terms
-    and dx products, each one whole GEMM on one thread.  dW adds the terms
-    in sample order, filter blocks split between the threads.  No product
-    is split, since OpenBLAS can round a part of a product apart from the
-    same rows of the whole.
+    one sample per thread at a time.  The calling thread does every ordered
+    sum: it rebuilds each sample's gradient, extends the bias sum and adds
+    the tail rows; the threads run the samples' dW terms and dx products,
+    each one whole GEMM on one thread; then the calling thread adds the
+    terms to dW in sample order.  No product is split, since OpenBLAS can
+    round a part of a product apart from the same rows of the whole.
     """
 
     PARAMS = ("weights", "bias")
@@ -382,10 +381,6 @@ class Conv1D(Layer):
         cols, w_cols = self._im2col(x)
         batch, l_out = cols.shape[:2]
         workers = self._workers(rows, w_cols)
-        # filter blocks of whole 16s (a one-column slice would sum pairwise),
-        # one per thread, the last taking the rest
-        blocks = max(1, min(workers, f // 16))
-        edges = [16 * (f // 16 * i // blocks) for i in range(blocks)] + [f]
         # the backward takes one sample per thread at a time (a chunk):
         # grads holds, per sample, row 0: the bias gradient before it; rows
         # 1..: its convolution gradient (an odd fused L' leaves the last zero)
@@ -396,26 +391,6 @@ class Conv1D(Layer):
         stage = np.empty((workers, l_out, k * c))
         dw = np.zeros((f, k * c))
         dx = np.zeros_like(x)
-        added = range(0)
-
-        def filter_block(w):
-            """Block w of dW plus the last chunk's terms, in sample order,
-            and of this chunk's gradients."""
-            lo, hi = edges[w], edges[w + 1]
-            for i in added:
-                dw[lo:hi] += terms[i, lo:hi]
-            for i, b in enumerate(part):
-                g = grads[i, :, lo:hi]
-                d = g[1:]
-                if masks is None:
-                    d[...] = upstream[b, :, lo:hi]
-                else:
-                    _relu_pool_backward(upstream[b, :, lo:hi], masks[:, b, :, lo:hi], d)
-                g[0] = bias[lo:hi]
-                np.add.reduce(g if b else d, axis=0, out=bias[lo:hi])
-                m = rows[b]
-                if m < l_out:
-                    d[m - 1] += d[m:].sum(axis=0)
 
         def products(w):
             """Share w of the chunk's products: of its n samples, item i < n
@@ -433,12 +408,22 @@ class Conv1D(Layer):
 
         for start in range(0, batch, workers):
             part = range(start, min(start + workers, batch))
-            _parallel(filter_block, blocks)
+            for i, b in enumerate(part):
+                g = grads[i]
+                d = g[1:]
+                if masks is None:
+                    d[...] = upstream[b]
+                else:
+                    _relu_pool_backward(upstream[b], masks[:, b], d)
+                g[0] = bias
+                np.add.reduce(g if b else d, axis=0, out=bias)
+                m = rows[b]
+                if m < l_out:
+                    d[m - 1] += d[m:].sum(axis=0)
             shares = _balance([rows[b] for b in part] * 2, workers)
             _parallel(products, workers)
-            added = range(len(part))
-        part = range(0)
-        _parallel(filter_block, blocks)  # the last chunk's terms
+            for i in range(len(part)):
+                dw += terms[i]
         self.grad["bias"][...] = bias
         self.grad["weights"][...] = dw.reshape(f, k, c).transpose(0, 2, 1)
         return dx
@@ -723,8 +708,7 @@ class BatchNorm1D(Layer):
     STATE = ("running_mean", "running_var")
 
     def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        self.check(eps, momentum)
         self.features = features
         self.momentum = momentum
         self.eps = eps
@@ -733,6 +717,16 @@ class BatchNorm1D(Layer):
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
         self._cache = None
+
+    @staticmethod
+    def check(eps, momentum) -> None:
+        """Refuses an eps that is not a finite number > 0 (a NaN eps makes
+        every output NaN) and a momentum that is not a number in [0, 1]."""
+        for name, value, ok, what in (
+                ("eps", eps, lambda v: 0 < v < math.inf, "finite and > 0"),
+                ("momentum", momentum, lambda v: 0 <= v <= 1, "in [0, 1]")):
+            if type(value) not in (int, float) or not ok(value):
+                raise ValueError(f"{name} {value!r} is not a number {what}")
 
     def forward(self, x, training: bool = False):
         x = np.asarray(x, dtype=np.float64)

@@ -41,7 +41,6 @@ ones up to float64 summation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -217,28 +216,25 @@ class Model:
 
     layers own the tensors; stack is what forward and backward run: fold,
     the EmbeddingConv1D of the first two layers if _assemble built one, then
-    the layers, less each fused block's relu and pool (_fuse_blocks).
-    prefix is (index, length, stride, field): the first Flatten or LSTM is
-    layers[index] and reads a sequence of that length, and the layers before
-    it have that total stride and receptive field.  in_strides maps each
-    Conv1D among them to its input stride s; each forward sets its tails to
-    the rows' tail starts in ids over s, rounded up (the fold reads none),
-    and an eval forward runs the prefix on the live columns only.
+    the layers, less each fused block's relu and pool.  prefix is (length,
+    stride, field): the first Flatten or LSTM reads a sequence of that
+    length, and the layers before it have that total stride and receptive
+    field.  strides holds, per stack entry before it, a Conv1D's input
+    stride s, or 0 for an entry that reads no tails; each forward sets a
+    Conv1D's tails to the rows' tail starts in ids over s, rounded up, and
+    an eval forward runs the prefix on the live columns only.
     """
 
-    def __init__(self, spec: ModelSpec, layers: list[Layer], output_width: int,
-                 fold: EmbeddingConv1D | None, prefix: tuple[int, int, int, int],
-                 in_strides: dict):
+    def __init__(self, spec: ModelSpec, layers: list[Layer], stack: list,
+                 strides: list[int], output_width: int,
+                 fold: EmbeddingConv1D | None, prefix: tuple[int, int, int]):
         self.spec = spec
         self.layers = layers
+        self.stack = stack
+        self._strides = strides
         self.output_width = output_width
         self.fold = fold
-        self.stack = _fuse_blocks(layers if fold is None else [fold, *layers[2:]])
         self.prefix = prefix
-        # each stack entry before the prefix's end: its input stride, or 0
-        # where it reads no tails
-        self._strides = [in_strides.get(layer, 0)
-                         for layer in self.stack[:self.stack.index(layers[prefix[0]])]]
         self.forward_calls = 0
         self.eval_samples = 0
         self._cached_training_forward = False
@@ -258,7 +254,7 @@ class Model:
         # live vectors can be equal
         nonpad = ids[:, ::-1] != PAD_ID
         tails = np.where(nonpad.any(axis=1), ids.shape[1] - nonpad.argmax(axis=1), 0)
-        _, length, stride, field = self.prefix
+        length, stride, field = self.prefix
         n = ids.shape[1]
         if not training:  # the columns that reach the last first-tail output
             n = min(-(-int(tails.max(initial=0)) // stride) * stride + field, n)
@@ -305,20 +301,6 @@ class Model:
         return sum(arr.size for arr in self.params())
 
 
-def _fuse_blocks(layers: list[Layer]) -> list[Layer]:
-    """The layers with each Conv1D -> relu -> MaxPool1D(2, 2) run as its
-    Conv1D alone, relu_pool set, whatever its filter count: the returned
-    list drops the block's relu and pool."""
-    fused = set()
-    for conv, act, pool in zip(layers, layers[1:], layers[2:]):
-        if (isinstance(conv, Conv1D)
-                and isinstance(act, Activation) and act.kind == "relu"
-                and isinstance(pool, MaxPool1D) and pool.window == pool.stride == 2):
-            conv.relu_pool = True
-            fused.update((id(act), id(pool)))
-    return [layer for layer in layers if id(layer) not in fused]
-
-
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:
     """Allocate and initialize every layer, checking shape compatibility.
 
@@ -326,6 +308,9 @@ def build_model(spec: ModelSpec, seed: int = 0) -> Model:
     """
     return _assemble(spec, np.random.default_rng(seed))
 
+
+# the layers after a Conv1D that fuse into it (Conv1D.relu_pool)
+_FUSED_BLOCK = (ActivationSpec("relu"), PoolSpec(2, 2))
 
 # the fields of each layer descriptor that size it
 _SIZES = {ConvSpec: ("filters", "kernel_size"), PoolSpec: ("window", "stride"),
@@ -341,13 +326,11 @@ def _check_sizes(spec: ModelSpec) -> None:
         where = f"layer {i} ({_TYPE_NAMES[type(ls)]})"
         sizes += [(f"{where} {name}", getattr(ls, name))
                   for name in _SIZES.get(type(ls), ())]
-        if isinstance(ls, BatchNormSpec):  # a NaN eps makes every output NaN
-            for name, ok, what in (("eps", lambda v: 0 < v < math.inf, "finite and > 0"),
-                                   ("momentum", lambda v: 0 <= v <= 1, "in [0, 1]")):
-                value = getattr(ls, name)
-                if type(value) not in (int, float) or not ok(value):
-                    raise SpecCorruptError(f"model spec is malformed: {where} {name} "
-                                           f"{value!r} is not a number {what}")
+        if isinstance(ls, BatchNormSpec):
+            try:
+                BatchNorm1D.check(ls.eps, ls.momentum)
+            except ValueError as err:
+                raise SpecCorruptError(f"model spec is malformed: {where} {err}") from None
     for name, value in sizes:
         if type(value) is not int or value < 1:
             raise SpecCorruptError(
@@ -355,21 +338,23 @@ def _check_sizes(spec: ModelSpec) -> None:
 
 
 def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
-    """Walk the spec's shapes and allocate its layers.  Parameters are drawn
-    from rng in layer order, once every size is checked; with no rng the
-    randomly initialized ones are left uninitialized, for a caller that
-    fills every tensor."""
+    """Walk the spec's shapes and allocate its layers, and the stack Model
+    runs.  Parameters are drawn from rng in layer order, once every size is
+    checked; with no rng the randomly initialized ones are left
+    uninitialized, for a caller that fills every tensor."""
     _check_sizes(spec)
     layers: list[Layer] = [Embedding(spec.vocab_size, spec.embedding_dim, rng)]
+    stack: list = [layers[0]]
+    strides = [0]  # per stack entry before the prefix's end (Model)
+    hidden = set()  # the spec entries left out of the stack
     fold = prefix = None
     # shape state after the embedding: a (length, channels) sequence
     seq: tuple[int, int] | None = (spec.input_length, spec.embedding_dim)
     flat: int | None = None
     prev_name = "embedding"
     # the layers so far as one affine map of positions: total stride and
-    # receptive field; and each Conv1D's input stride
+    # receptive field
     stride = field = 1
-    in_strides: dict[Layer, int] = {}
 
     def fail(i, layer_spec, why):
         raise IncompatibleSpecError(
@@ -384,9 +369,12 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if length < ls.kernel_size:
                 fail(i, ls, f"sequence length {length} < kernel size {ls.kernel_size}")
             layers.append(Conv1D(channels, ls.filters, ls.kernel_size, rng))
-            in_strides[layers[-1]] = stride
             if i == 0 and spec.embedding_dim > GATHER_COST:  # see layers.GATHER_COST
-                fold = EmbeddingConv1D(layers[0], layers[1])
+                fold = stack[0] = EmbeddingConv1D(layers[0], layers[1])
+                hidden.add(i)  # a fold's convolution is never fused
+            elif tuple(spec.layers[i + 1:i + 3]) == _FUSED_BLOCK:
+                layers[-1].relu_pool = True
+                hidden.update((i + 1, i + 2))
             field += (ls.kernel_size - 1) * stride
             seq = (length - ls.kernel_size + 1, ls.filters)
         elif isinstance(ls, PoolSpec):
@@ -406,7 +394,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if seq is None:
                 fail(i, ls, "lstm needs sequence input, got flat features")
             length, channels = seq
-            prefix = prefix or (len(layers), length, stride, field)
+            prefix = prefix or (length, stride, field)
             layers.append(LSTM(channels, ls.units, rng,
                                return_sequences=ls.return_sequences))
             if ls.return_sequences:
@@ -417,7 +405,7 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
             if seq is None:
                 fail(i, ls, "flatten needs sequence input, got flat features")
             length, channels = seq
-            prefix = prefix or (len(layers), length, stride, field)
+            prefix = prefix or (length, stride, field)
             layers.append(Flatten())
             seq, flat = None, length * channels
         elif isinstance(ls, DenseSpec):
@@ -430,13 +418,17 @@ def _assemble(spec: ModelSpec, rng: np.random.Generator | None) -> Model:
         else:
             fail(i, ls, "unknown layer descriptor")
         prev_name = _TYPE_NAMES[type(ls)]
+        if i not in hidden:
+            stack.append(layers[-1])
+            if prefix is None:
+                strides.append(stride if isinstance(ls, ConvSpec) else 0)
 
     if flat is None:
         raise IncompatibleSpecError(
             "network never reduces to flat features; it cannot feed a classifier head"
         )
-    return Model(spec, layers, output_width=flat, fold=fold, prefix=prefix,
-                 in_strides=in_strides)
+    return Model(spec, layers, stack, strides, output_width=flat, fold=fold,
+                 prefix=prefix)
 
 
 class Verdict(Enum):

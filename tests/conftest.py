@@ -12,10 +12,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from vulncascade.errors import ShapeMismatchError  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A failing example prints a @reproduce_failure blob, which replays it on any
+# machine: CI keeps no example database.
+settings.register_profile("vulncascade", print_blob=True)
+settings.load_profile("vulncascade")
 
 
 def blas_env(threads):

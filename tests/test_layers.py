@@ -262,8 +262,9 @@ class TestConv1D:
 def same_bits(got, want):
     """Equal bit for bit: signed zeros and NaN payloads included."""
     got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    bits = f"u{got.itemsize}"  # floats and bool masks alike
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
 
 
 def relu_pool_pair(c, f, k, rng):
@@ -428,12 +429,15 @@ class TestConv1DThreads:
     """A Conv1D gives the same bits on any number of threads."""
 
     # (C, F, k, L, fused): stage 1's two blocks, stage 2's second
-    # convolution, and stage 2's first run unfolded
+    # convolution, stage 2's first run unfolded, and two filter counts that
+    # are not multiples of 16: one unfused, 33 fused with an odd L' (37)
     SHAPES = {
         "stage1_conv1": (13, 256, 7, 500, True),
         "stage1_conv2": (256, 128, 7, 247, True),
         "stage2_conv2": (64, 128, 3, 199, False),
         "stage2_conv1": (300, 64, 3, 400, False),
+        "one_filter": (7, 1, 3, 60, False),
+        "filters_33": (5, 33, 4, 40, True),
     }
 
     @pytest.mark.parametrize("shape", list(SHAPES))
@@ -505,17 +509,16 @@ class TestConv1DThreads:
 
     def test_a_pool_thread_error_reaches_the_caller(self, threads, monkeypatch):
         threads(2)
-
-        def failing(upstream, masks, da):
-            if threading.current_thread() is not threading.main_thread():
-                raise ValueError("in a pool thread")
-            relu_pool_backward(upstream, masks, da)
-
-        relu_pool_backward = layers_module._relu_pool_backward
-
-        monkeypatch.setattr(layers_module, "_relu_pool_backward", failing)
         conv, _ = relu_pool_pair(3, 32, 3, np.random.default_rng(0))
         out = conv.forward(np.ones((4, 20, 3)), training=True)
+
+        def failing(rows, stage):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("in a pool thread")
+            return staged(rows, stage)
+
+        staged = layers_module._staged
+        monkeypatch.setattr(layers_module, "_staged", failing)
         with pytest.raises(ValueError, match="pool thread"):
             conv.backward(np.ones_like(out))
 
@@ -749,6 +752,17 @@ class TestLSTM:
 
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("bad, eps, momentum", [
+        ("eps", float("nan"), 0.9), ("eps", float("inf"), 0.9), ("eps", 0.0, 0.9),
+        ("eps", -1e-5, 0.9), ("eps", True, 0.9), ("eps", "1e-5", 0.9),
+        ("momentum", 1e-5, 7.0), ("momentum", 1e-5, -0.1),
+        ("momentum", 1e-5, float("nan")), ("momentum", 1e-5, None),
+    ])
+    def test_bad_eps_or_momentum_is_refused(self, bad, eps, momentum):
+        # a NaN eps made every output NaN
+        with pytest.raises(ValueError, match=f"^{bad} "):
+            BatchNorm1D(3, momentum=momentum, eps=eps)
+
     def test_training_normalizes_batch(self, rng):
         layer = BatchNorm1D(4)
         x = rng.standard_normal((32, 4)) * 3.0 + 7.0

@@ -620,16 +620,53 @@ def ragged_ids(rng, lengths, length, vocab=20):
     return ids
 
 
+# Stage 2's BatchNorms normalize over batch and time.  In a batch of mostly
+# PAD most positions carry one vector, the variance is small, and the
+# BatchNorms nearly cancel the gradients that reach them: the summation
+# orders of the fold and the tails then move gradients, most of all the
+# table's and conv1's, by up to 5.8e-10 of a tensor's largest entry (31
+# all-PAD rows and one of 200 ids).  Reversing the batch's rows moves no gradient in exact
+# arithmetic, so how far it moves each run's measures that run's rounding
+# noise; the model's stage-2 gradients may differ from the declared layers'
+# by 1e-11 of the largest entry plus 8 times the two runs' noise added (in
+# 132 such batches, none needed more than 3.6 times).
+SPREAD_FACTOR = 8
+
+
+def check_training_step(spec, seed, ids, upstream):
+    """The model's training step against the declared layers' on every
+    column: at stage 1 its output bit for bit and its gradients within
+    1e-12 of the largest entry, at stage 2 its output within 1e-12 and its
+    gradients within the rounding noise above."""
+    def step(ids, upstream):
+        model, reference = (build_model(spec, seed=seed) for _ in range(2))
+        out = model.forward(ids, training=True)
+        model.backward(upstream)
+        want = layerwise_training_step(reference, ids, upstream)
+        return out, want, model, reference
+
+    out, want, model, reference = step(ids, upstream)
+    if spec.stage == 1:
+        np.testing.assert_array_equal(out, want)
+        assert_gradients_close(model, reference, 1e-12)
+        return
+    np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
+    if all(np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+           for got, want in zip(model.grads(), reference.grads())):
+        return  # the noise is measured only where it is needed
+    _, _, model_rev, reference_rev = step(ids[::-1].copy(), upstream[::-1].copy())
+    for got, want, got_rev, want_rev in zip(model.grads(), reference.grads(),
+                                            model_rev.grads(), reference_rev.grads()):
+        noise = np.max(np.abs(got_rev - got)) + np.max(np.abs(want_rev - want))
+        assert (np.max(np.abs(got - want))
+                <= 1e-11 * np.max(np.abs(want)) + SPREAD_FACTOR * noise)
+
+
 class TestRaggedRows:
     """Each Conv1D before the first Flatten or LSTM multiplies, per row, only
     the rows up to that row's first padding-tail output, in training and
     eval forwards and in backward."""
 
-    # Stage 2 normalizes over batch and time, so a batch of almost all PAD
-    # has near-zero variance and gradients of rounding noise alone; its
-    # longest row holds at least half the window.  Its gradients sit up to
-    # 1.8e-12 from the layers' in 80 random batches of 32 (the fold alone
-    # moves them by up to 6e-13), so stage 2 is held to 1e-11.
     @settings(max_examples=25, deadline=None)
     @given(stage=st.sampled_from([1, 2]), batch=st.sampled_from([1, 5, 32]),
            data=st.data())
@@ -639,7 +676,7 @@ class TestRaggedRows:
         lengths = data.draw(st.lists(
             st.one_of(st.sampled_from([0, length]), st.integers(0, length)),
             min_size=batch, max_size=batch))
-        if stage == 2:
+        if stage == 2:  # its longest row holds at least half the window
             lengths[0] = max(lengths[0], length // 2)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         ids = ragged_ids(rng, lengths, length)
@@ -649,16 +686,15 @@ class TestRaggedRows:
         for row, start, n in runs:  # interior PAD runs
             ids[row, start:start + n] = 0
         upstream = rng.standard_normal((batch, 1 if stage == 1 else 4))
-        model, reference = (build_model(spec, seed=stage) for _ in range(2))
-        out = model.forward(ids, training=True)
-        model.backward(upstream)
-        want = layerwise_training_step(reference, ids, upstream)
-        if stage == 1:
-            np.testing.assert_array_equal(out, want)
-            assert_gradients_close(model, reference, 1e-12)
-        else:
-            np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-12)
-            assert_gradients_close(model, reference, 1e-11)
+        check_training_step(spec, stage, ids, upstream)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_training_step_on_a_batch_of_pad_rows(self, seed):
+        # a case Hypothesis found: at 1e-11 of the largest entry alone, the
+        # table, conv1 weight and conv1 bias gradients fail at every seed
+        rng = np.random.default_rng(seed)
+        ids = ragged_ids(rng, [200] + [0] * 31, 400)
+        check_training_step(stage2_spec(20, 4), 2, ids, rng.standard_normal((32, 4)))
 
     @pytest.mark.parametrize("spec, batch", [
         (stage1_spec(20), 5), (stage2_spec(69, 4), 5), (stage2_spec(400, 3), 1),
