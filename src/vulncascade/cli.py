@@ -199,8 +199,9 @@ def cmd_train(args) -> int:
     arch = load_archive(train_path)
     if not arch.count:
         raise CliError(f"{train_path}: no rows to train on")
-    vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
-    _check_hash(vocab.content_hash(), arch.vocab_hash)
+    vocab_path = os.path.join(args.data, "vocab.txt")
+    vocab = Vocabulary.load(vocab_path)
+    _check_hash(vocab_path, vocab.content_hash(), train_path, arch.vocab_hash)
 
     label_map = None
     if args.stage == 1:
@@ -210,7 +211,7 @@ def cmd_train(args) -> int:
         label_map = LabelMap.load(label_path)
         _check_classes(label_path, label_map, train_path, arch)
         spec = stage2_spec(vocab.size, len(label_map))
-    _check_length(train_path, arch, spec)
+    _check_rows(train_path, arch, spec)
 
     model = build_model(spec, seed=args.seed)
     print(f"stage {args.stage}: {model.param_count()} parameters, "
@@ -237,15 +238,23 @@ def _load_stage(path: str, stage: int):
     return model, header
 
 
-def _check_hash(ours: str, theirs: str) -> None:
+def _check_hash(our_source: str, ours: str, their_source: str, theirs: str) -> None:
+    """Refuses two sources of different vocabularies, naming both."""
     if ours != theirs:
-        raise VocabHashMismatchError(ours, theirs)
+        raise VocabHashMismatchError(ours, theirs, our_source, their_source)
 
 
-def _check_length(archive_path: str, arch: EncodedArchive, spec) -> None:
+def _check_rows(archive_path: str, arch: EncodedArchive, spec) -> None:
+    """Refuses an archive whose rows the model cannot read: of another
+    length, or holding an id outside the model's vocabulary."""
     if arch.max_len != spec.input_length:
         raise CliError(f"{archive_path}: rows of {arch.max_len} ids, the "
                        f"stage-{spec.stage} model reads {spec.input_length}")
+    outside = np.flatnonzero(arch.ids >= spec.vocab_size)  # u32 ids: none below 0
+    if outside.size:
+        row, column = divmod(int(outside[0]), arch.max_len)
+        raise CliError(f"{archive_path}: id {arch.ids[row, column]} in row {row} is "
+                       f"outside the vocabulary of {spec.vocab_size} tokens")
 
 
 def _check_classes(label_source: str, label_map: LabelMap,
@@ -270,18 +279,18 @@ def cmd_evaluate(args) -> int:
     arch1 = load_archive(test1_path)
     if not arch1.count:
         raise CliError(f"{test1_path}: no rows to evaluate on")
-    _check_hash(header1.vocab_hash, arch1.vocab_hash)
-    _check_length(test1_path, arch1, stage1.spec)
+    _check_hash(args.stage1, header1.vocab_hash, test1_path, arch1.vocab_hash)
+    _check_rows(test1_path, arch1, stage1.spec)
 
     if args.stage2:
         stage2, header2 = _load_stage(args.stage2, 2)
-        _check_hash(header2.vocab_hash, arch1.vocab_hash)
+        _check_hash(args.stage2, header2.vocab_hash, test1_path, arch1.vocab_hash)
         label_map = header2.label_map
         _, test2_path = _train_paths(args.data, 2)
         arch2 = load_archive(test2_path)
-        _check_hash(header2.vocab_hash, arch2.vocab_hash)
+        _check_hash(args.stage2, header2.vocab_hash, test2_path, arch2.vocab_hash)
         _check_classes(f"--stage2 {args.stage2}", label_map, test2_path, arch2)
-        _check_length(test2_path, arch2, stage2.spec)
+        _check_rows(test2_path, arch2, stage2.spec)
         vuln_rows = np.flatnonzero(arch1.labels == 1)
         if vuln_rows.shape[0] != arch2.count:
             raise CliError(
@@ -341,15 +350,21 @@ def cmd_evaluate(args) -> int:
 
 
 def _iter_source_files(paths: list[str]):
+    """(path, None) for each path named and each regular file with a source
+    suffix under a named directory; (path, error) for any other entry there
+    with that suffix, such as a named pipe, whose read could block forever."""
     for path in paths:
         if os.path.isdir(path):
             for root, dirs, names in os.walk(path):
                 dirs.sort()
                 for name in sorted(names):
                     if name.endswith(SOURCE_SUFFIXES):
-                        yield os.path.join(root, name)
+                        entry = os.path.join(root, name)
+                        # a dangling link goes on to open, which names its error
+                        regular = os.path.isfile(entry) or not os.path.exists(entry)
+                        yield entry, None if regular else "not a regular file"
         else:
-            yield path
+            yield path, None
 
 
 def _format_finding(label: str, pred, label_map) -> str:
@@ -366,20 +381,23 @@ def _format_finding(label: str, pred, label_map) -> str:
 def cmd_scan(args) -> int:
     stage1, header1 = _load_stage(args.stage1, 1)
     stage2, header2 = _load_stage(args.stage2, 2)
-    _check_hash(header1.vocab_hash, header2.vocab_hash)
+    _check_hash(args.stage1, header1.vocab_hash, args.stage2, header2.vocab_hash)
     vocab = Vocabulary.load(args.vocab)
-    _check_hash(vocab.content_hash(), header1.vocab_hash)
+    _check_hash(args.vocab, vocab.content_hash(), args.stage1, header1.vocab_hash)
     label_map = header2.label_map
     preserve = _load_preserve(args.preserve_api_names)
 
     findings = []
     errors = 0
-    for path in _iter_source_files(args.paths):
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    for path, problem in _iter_source_files(args.paths):
+        if problem is None:
+            try:
+                with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                    source = fh.read()
+            except OSError as exc:
+                problem = exc
+        if problem is not None:
+            print(f"error: {path}: {problem}", file=sys.stderr)
             errors += 1
             continue
         tokens = tokenize(source)
@@ -427,8 +445,9 @@ def cmd_smote_report(args) -> int:
     arch = load_archive(train_path)
     by_class = group_by_class(arch.ids, arch.labels)
     before = class_histogram(by_class)
-    vocab = Vocabulary.load(os.path.join(args.data, "vocab.txt"))
-    _check_hash(vocab.content_hash(), arch.vocab_hash)
+    vocab_path = os.path.join(args.data, "vocab.txt")
+    vocab = Vocabulary.load(vocab_path)
+    _check_hash(vocab_path, vocab.content_hash(), train_path, arch.vocab_hash)
     # the k and seed that train --stage 2 uses by default
     balanced = oversample(by_class, SmoteConfig(), vocab.size)
     after = class_histogram(balanced)

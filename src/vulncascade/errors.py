@@ -73,8 +73,9 @@ class SpecCorruptError(PipelineError):
 
 
 class VocabHashMismatchError(PipelineError):
-    def __init__(self, ours, theirs):
-        super().__init__(f"vocabulary hash mismatch: {ours} vs {theirs}")
+    def __init__(self, ours, theirs, our_source, their_source):
+        super().__init__(f"{our_source}: vocabulary hash mismatch: "
+                         f"{ours} vs {theirs} of {their_source}")
         self.ours = ours
         self.theirs = theirs
 

@@ -21,10 +21,11 @@ A Conv1D with relu_pool set runs a Conv1D -> relu -> 2x2 MaxPool1D block
 per sample in cache, pool before relu, bit for bit the three layers.
 
 Import sets OpenBLAS, whose thread count moves bits, to one thread per call
-process-wide.  A Conv1D call of POOL_MIN_WORK multiply-adds or more runs on
-the CPUs the process may use instead, on a pool started at the first such
-call (numpy's matmul and ufuncs release the GIL).  One path runs at every
-count, one thread included, each on its share: the same bits at any count.
+process-wide.  A Conv1D call runs instead on as many threads as the CPUs the
+process may use, or its samples if fewer, on a pool started at the first
+call that runs on two (numpy's matmul and ufuncs release the GIL).  One
+path runs at every count, one thread included, each on its share: the same
+bits at any count.
 """
 
 from __future__ import annotations
@@ -160,24 +161,6 @@ def sum_rows_by_id(ids: np.ndarray, upstream: np.ndarray, rows: int) -> np.ndarr
 # from the full-length GEMM's up to m = 4 at stage 1 and m = 9 at stage 2.
 MIN_GEMM_ROWS = 16
 
-# The fewest forward multiply-adds (rows multiplied * F * k * C) for which a
-# Conv1D call runs on more than one thread.  Measured, forward + backward in
-# ms, one thread -> two, best of 7, a third of each row live, one BLAS
-# thread, numpy 2.4.6, a shared 2-vCPU x86_64 box:
-#   stage-1 conv2, C 256, F 128, k 7:  B 1 (1.9e7): 4.78 -> 4.87
-#     B 2 (3.8e7): 8.96 -> 7.31    B 4 (7.6e7): 16.5 -> 11.2
-#   stage-1 conv1, C 13, F 256, k 7:   B 4 (1.6e7): 7.10 -> 6.99
-#     B 16 (6.2e7): 30.1 -> 27.9
-#   stage-2 conv2, C 64, F 128, k 3:   B 4 (6.6e6): 1.69 -> 2.13
-#     B 8 (1.3e7): 4.36 -> 3.37
-#   stage-2 conv1 unfolded, C 300, F 64, k 3:  B 1 (7.7e6): 1.90 -> 2.04
-#     B 2 (1.5e7): 3.52 -> 3.15
-# The crossover is near 1.5e7.  The bar stands above the 3.8e7 of the
-# stage-1 conv2 in scan's per-file batch of 10 short rows, so that a scan
-# call, of a few ms, keeps to the calling thread and its heap.
-POOL_MIN_WORK = 10**8
-
-
 def _openblas(name: str):
     """The loaded OpenBLAS's function name, or None (another BLAS, or no /proc)."""
     try:
@@ -213,8 +196,8 @@ def _worker_count() -> int:
 
 @cache
 def _executor(threads: int):
-    # imported at the first pool call: the import takes some 7 ms, which a
-    # process that never fills the pool (every scan) need not pay
+    # imported at the first pool call: the import takes some 6 ms, which a
+    # process on one CPU, or with one sample per call, need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(threads, thread_name_prefix="vulncascade-conv")
@@ -282,8 +265,9 @@ class Conv1D(Layer):
     buffer.  Fused or not, it adds each sample's gradient rows to the bias
     gradient after a row holding the sum so far.
 
-    One path runs at any thread count (_workers), one included, on im2col
-    rows and dx products staged in the calling thread's buffers (_staged).
+    A call runs on max(1, min(CPUs, samples)) threads (_worker_count), and
+    one path runs at any count, one included, on im2col rows and dx
+    products staged in the calling thread's buffers (_staged).
     A forward deals the samples to the threads (_balance).  A backward takes
     one sample per thread at a time.  The calling thread does every ordered
     sum: it rebuilds each sample's gradient, extends the bias sum and adds
@@ -319,13 +303,6 @@ class Conv1D(Layer):
         w_cols = self.weights.transpose(0, 2, 1).reshape(self.filters, k * c)
         return cols, w_cols
 
-    def _workers(self, rows: list[int], w_cols: np.ndarray) -> int:
-        """Threads for a call multiplying these rows: 1 below POOL_MIN_WORK,
-        and never more than there are samples."""
-        if sum(rows) * w_cols.size < POOL_MIN_WORK:
-            return 1
-        return max(1, min(_worker_count(), len(rows)))
-
     def forward(self, x, training: bool = False):
         tails, self.tails = self.tails, None
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -341,7 +318,7 @@ class Conv1D(Layer):
         batch, l_out = cols.shape[:2]
         rows = ([l_out] * batch if tails is None
                 else np.minimum(np.maximum(tails + 1, MIN_GEMM_ROWS), l_out).tolist())
-        workers = self._workers(rows, w_cols)
+        workers = max(1, min(_worker_count(), batch))
         shares = _balance(rows, workers)
         # per thread, one sample's im2col rows (see _staged)
         stage = np.empty((workers, *cols.shape[1:]))
@@ -380,7 +357,7 @@ class Conv1D(Layer):
         k, c, f = self.kernel_size, self.in_channels, self.filters
         cols, w_cols = self._im2col(x)
         batch, l_out = cols.shape[:2]
-        workers = self._workers(rows, w_cols)
+        workers = max(1, min(_worker_count(), batch))
         # the backward takes one sample per thread at a time (a chunk):
         # grads holds, per sample, row 0: the bias gradient before it; rows
         # 1..: its convolution gradient (an odd fused L' leaves the last zero)

@@ -640,6 +640,72 @@ def test_empty_archive_is_refused_with_its_path(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("archive, command", [
+    ("stage1_train.vcen", ["train", "--stage", "1"]),
+    ("stage2_train.vcen", ["train", "--stage", "2"]),
+    ("stage1_test.vcen", ["evaluate"]),
+    ("stage2_test.vcen", ["evaluate"]),
+])
+def test_id_outside_the_vocabulary_is_refused_with_its_path(workspace, tmp_path, capsys,
+                                                            archive, command):
+    # a resealed archive holding an id no embedding row has: refused as the
+    # archive loads, before train prints its model summary
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    arch = load_archive(str(data / archive))
+    arch.ids[0, 3] = 10**6
+    save_archive(arch, str(data / archive))
+    out = tmp_path / "m.vcmd"
+    models = (["--out", str(out)] if command[0] == "train" else
+              ["--stage1", str(workspace["s1"]), "--stage2", str(workspace["s2"])])
+    assert main(command + ["--data", str(data)] + models) == 2
+    captured = capsys.readouterr()
+    tokens = Vocabulary.load(str(data / "vocab.txt")).size
+    assert captured.out == ""
+    assert captured.err == (f"error: {data / archive}: id 1000000 in row 0 is outside "
+                            f"the vocabulary of {tokens} tokens\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["train", "smote-report", "evaluate", "scan-vocab",
+                                  "scan-models"])
+def test_vocabulary_hash_mismatch_names_both_files(workspace, tmp_path, capsys, case):
+    # a token appended to vocab.txt, or an archive or model resealed under
+    # another vocabulary's hash: the message starts with one file and ends
+    # with the other
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    vocab, s1, s2 = data / "vocab.txt", workspace["s1"], workspace["s2"]
+    foreign = "f" * 64
+    if case == "evaluate":
+        arch = load_archive(str(data / "stage1_test.vcen"))
+        save_archive(dataclasses.replace(arch, vocab_hash=foreign),
+                     str(data / "stage1_test.vcen"))
+    elif case == "scan-models":
+        model, header = load_model(str(s2))
+        s2 = tmp_path / "s2.vcmd"
+        save_model(model, str(s2), foreign, header.label_map)
+    else:
+        vocab.write_text("\n".join(vocab.read_text().splitlines() + ["extra"]) + "\n")
+    scan = ["scan", "--stage1", str(s1), "--stage2", str(s2), "--vocab", str(vocab),
+            str(data)]
+    command, first, second = {
+        "train": (["train", "--stage", "1", "--data", str(data),
+                   "--out", str(tmp_path / "m.vcmd")], vocab, data / "stage1_train.vcen"),
+        "smote-report": (["smote-report", "--data", str(data)],
+                         vocab, data / "stage2_train.vcen"),
+        "evaluate": (["evaluate", "--stage1", str(s1), "--data", str(data)],
+                     s1, data / "stage1_test.vcen"),
+        "scan-vocab": (scan, vocab, s1),
+        "scan-models": (scan, s1, s2),
+    }[case]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {first}: vocabulary hash mismatch: ")
+    assert captured.err.endswith(f" of {second}\n")
+
+
 def assert_pair_refused(workspace, capsys, code, flag, found):
     name = "s1" if found == 1 else "s2"
     captured = capsys.readouterr()
@@ -977,6 +1043,26 @@ class TestScan:
         assert code == 0
         assert json.loads(captured.out)["errors"] == 1
         assert "error" in captured.err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_in_a_directory_is_an_error_not_a_hang(self, workspace, tmp_path):
+        # opening a FIFO for reading waits for a writer: the walk refuses it
+        # and scans the rest.  A subprocess, so that a hang fails by timeout.
+        root = tmp_path / "src"
+        root.mkdir()
+        (root / "a.c").write_text(CLEAN_BODIES[0] + "\n")
+        os.mkfifo(root / "b.c")
+        done = subprocess.run(
+            [sys.executable, "-m", "vulncascade.cli", "scan", "--json",
+             "--stage1", str(workspace["s1"]), "--stage2", str(workspace["s2"]),
+             "--vocab", str(workspace["data"] / "vocab.txt"), str(root)],
+            env=blas_env("1"), capture_output=True, text=True, timeout=60)
+        assert done.returncode in (0, 1), done.stderr
+        report = json.loads(done.stdout)
+        assert (report["scanned"], report["errors"]) == (1, 1)
+        assert done.stderr == f"error: {root / 'b.c'}: not a regular file\n"
+        # a path named on the command line is read whatever it is
+        assert list(cli._iter_source_files([str(root / "b.c")])) == [(str(root / "b.c"), None)]
 
     def test_threshold_outside_unit_interval_is_usage_error(self, workspace,
                                                            tmp_path, capsys):

@@ -406,11 +406,10 @@ print(json.dumps([get and get(), layers._worker_count(), len(os.sched_getaffinit
 
 @pytest.fixture
 def threads(monkeypatch):
-    """Sets the Conv1D thread count, the work bar lowered to 0 so that every
-    call with two or more samples uses the pool."""
+    """Sets the Conv1D thread count: every call with two or more samples
+    uses the pool."""
     def use(n):
         monkeypatch.setattr(layers_module, "_worker_count", lambda: n)
-        monkeypatch.setattr(layers_module, "POOL_MIN_WORK", 0)
     return use
 
 
@@ -548,24 +547,28 @@ class TestConv1DThreads:
             for n in sizes:
                 fresh(n).shutdown()
 
-    def test_work_below_the_bar_stays_on_the_calling_thread(self, monkeypatch):
-        # scan's per-file stage-1 batch: 10 short rows through conv2
-        monkeypatch.setattr(layers_module, "_worker_count", lambda: 4)
-        seen = set()
-        for name in ("_relu_pool_forward", "_relu_pool_backward"):
-            def spy(*args, helper=getattr(layers_module, name)):
-                seen.add(threading.get_ident())
-                return helper(*args)
-            monkeypatch.setattr(layers_module, name, spy)
+    def test_a_scan_sized_call_uses_the_pool(self, threads, monkeypatch):
+        # scan's per-file stage-1 batch: 10 short rows through conv2, on
+        # more than one thread and with the bits of one
         c, f, k, length, _ = self.SHAPES["stage1_conv2"]
         conv, _ = relu_pool_pair(c, f, k, np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((10, length, c))
         tails = np.full(10, 20)
-        conv_step(conv, x, tails, np.ones((10, (length - k + 1) // 2, f)))
-        assert seen == {threading.get_ident()}
-        monkeypatch.setattr(layers_module, "POOL_MIN_WORK", 0)
-        conv_step(conv, x, tails, np.ones((10, (length - k + 1) // 2, f)))
+        upstream = np.ones((10, (length - k + 1) // 2, f))
+        threads(1)
+        want = conv_step(conv, x, tails, upstream)
+        seen = set()
+
+        def spy(*args, helper=layers_module._relu_pool_forward):
+            seen.add(threading.get_ident())
+            return helper(*args)
+
+        monkeypatch.setattr(layers_module, "_relu_pool_forward", spy)
+        threads(4)
+        got = conv_step(conv, x, tails, upstream)
         assert len(seen) > 1
+        for got_part, want_part in zip(got, want):
+            same_bits(got_part, want_part)
 
     @pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "1", "2"])
     def test_import_sets_openblas_to_one_thread(self, blas):

@@ -723,7 +723,6 @@ class TestRaggedRows:
         # stage 1's two fused blocks and stage 2's second convolution on the
         # pool, every call of two or more rows on it; a batch of fewer rows
         # than threads; all-PAD rows.  Zero rows forward in eval alone.
-        monkeypatch.setattr(layers, "POOL_MIN_WORK", 0)
         spec = stage1_spec(20) if stage == 1 else stage2_spec(20, 4)
         ids = ragged_ids(np.random.default_rng(stage),
                          [min(n, spec.input_length) for n in lengths], spec.input_length)
@@ -786,7 +785,8 @@ class TestRaggedRows:
 
         monkeypatch.setattr(layers, "np", Spy())
         model.forward(ids, training=training)
-        assert heights == [(494, 91), (25, 91), (241, 1792), (16, 1792)]
+        # sorted: the two rows may run on two threads, in either order
+        assert sorted(heights) == sorted([(494, 91), (25, 91), (241, 1792), (16, 1792)])
 
 
 # Reference copies of the per-call walks the prefix map replaced: the first
